@@ -541,7 +541,7 @@ extractSchemaUses(const ProjectModel::File &f,
 }
 
 /**
- * Event (cat, name) literals at EventTrace emission sites in src/ and
+ * Event name literals at EventTrace emission sites in src/ and
  * bench/. A name built as `"prefix" + expr` records as "prefix*".
  */
 void
@@ -574,37 +574,34 @@ extractEmittedEvents(const ProjectModel::File &f,
         if (close >= toks.size())
             continue;
 
-        // Top-level string arguments in order, with concatenation
-        // direction so computed names keep their literal prefix.
-        struct Arg
-        {
-            std::string text;
-            int line;
-            bool plusBefore;
-            bool plusAfter;
-        };
-        std::vector<Arg> strs;
+        // The name sits at a fixed argument position (instant: ts,
+        // pid, tid, cat, name; complete adds dur; counter has no cat),
+        // so a computed category does not hide a literal name.
+        std::size_t nameArg = kind == "instant"    ? 4
+                              : kind == "complete" ? 5
+                                                   : 3;
+        std::size_t arg = 0;
+        std::size_t first = close; // first token of the name argument
         int depth = 0;
-        for (std::size_t m = open + 1; m < close; ++m) {
+        for (std::size_t m = open + 1; m < close && first == close; ++m) {
             if (isPunct(toks, m, '(') || isPunct(toks, m, '[') ||
                 isPunct(toks, m, '{'))
                 ++depth;
             else if (isPunct(toks, m, ')') || isPunct(toks, m, ']') ||
                      isPunct(toks, m, '}'))
                 --depth;
-            else if (depth == 0 && toks[m].kind == TokKind::String)
-                strs.push_back({toks[m].text, toks[m].line,
-                                isPunct(toks, m - 1, '+'),
-                                isPunct(toks, m + 1, '+')});
+            else if (depth == 0 && isPunct(toks, m, ',') &&
+                     ++arg == nameArg)
+                first = m + 1;
         }
-        std::size_t slot = kind == "counter" ? 0 : 1;
-        if (strs.size() <= slot)
-            continue; // fully computed name: not statically checkable
-        const Arg &a = strs[slot];
-        if (a.plusBefore)
-            continue; // literal is a suffix; no stable prefix to match
-        std::string name = a.text + (a.plusAfter ? "*" : "");
-        emitted[name].push_back({f.path, a.line});
+        // A computed name, or a literal that is only a suffix, has no
+        // stable prefix to match.
+        if (first >= close || toks[first].kind != TokKind::String)
+            continue;
+        // A name built as `"prefix" + expr` keeps its literal prefix.
+        std::string name =
+            toks[first].text + (isPunct(toks, first + 1, '+') ? "*" : "");
+        emitted[name].push_back({f.path, toks[first].line});
     }
 }
 

@@ -29,9 +29,9 @@ PhaseHillClimbing::branchTrampoline(void *ctx, const CommittedBranch &cb)
 }
 
 void
-PhaseHillClimbing::attach(SmtCpu &cpu)
+PhaseHillClimbing::restart(SmtCpu &cpu)
 {
-    HillClimbing::attach(cpu);
+    HillClimbing::restart(cpu);
     bbv = BbvAccumulator(cpu.numThreads());
     currentPhase = -1;
     phaseEpochs.clear();
@@ -52,16 +52,9 @@ PhaseHillClimbing::resetPhaseState(int num_threads)
 }
 
 void
-PhaseHillClimbing::threadAttached(SmtCpu &cpu, ThreadId tid)
+PhaseHillClimbing::churned(SmtCpu &cpu, ThreadId tid, bool attached)
 {
-    HillClimbing::threadAttached(cpu, tid);
-    resetPhaseState(cpu.numThreads());
-}
-
-void
-PhaseHillClimbing::threadDetached(SmtCpu &cpu, ThreadId tid)
-{
-    HillClimbing::threadDetached(cpu, tid);
+    HillClimbing::churned(cpu, tid, attached);
     resetPhaseState(cpu.numThreads());
 }
 
@@ -77,7 +70,7 @@ PhaseHillClimbing::phaseStable(int phase) const
 }
 
 void
-PhaseHillClimbing::epoch(SmtCpu &cpu, std::uint64_t epoch_id)
+PhaseHillClimbing::epochEnded(const SmtCpu &cpu)
 {
     // Classify the epoch that just ended, unless it was a solo
     // SingleIPC sampling epoch (its BBV is unrepresentative).
@@ -120,17 +113,32 @@ PhaseHillClimbing::epoch(SmtCpu &cpu, std::uint64_t epoch_id)
             }
         }
     }
-    HillClimbing::epoch(cpu, epoch_id);
+}
+
+EpochLearner::EpochStep
+PhaseHillClimbing::learn(SmtCpu &cpu, const IpcSample &, double metric,
+                         bool dirty)
+{
+    // HILL's step, except that the anchor may jump to a learned
+    // partitioning instead of moving along the gradient.
+    EpochStep step = climb(cpu, metric, dirty);
+    if (step.anchorMoved) {
+        Partition next = moveAnchor(anchorPartition, step.gradientThread,
+                                    config().delta, minShare);
+        commitAnchor(cpu, step.gradientThread, next, reuse(cpu, next));
+    }
+    advance(cpu);
+    return step;
 }
 
 Partition
-PhaseHillClimbing::overrideAnchor(SmtCpu &cpu, Partition next)
+PhaseHillClimbing::reuse(const SmtCpu &cpu, const Partition &step)
 {
     if (currentPhase < 0)
-        return next;
+        return step;
 
     // Remember the best partitioning learned for the current phase.
-    learned[currentPhase] = next;
+    learned[currentPhase] = step;
 
     // If a different, previously learned phase is predicted for the
     // next epoch, jump straight to its partitioning instead of
@@ -141,6 +149,7 @@ PhaseHillClimbing::overrideAnchor(SmtCpu &cpu, Partition next)
     // the anchor with a round-stale learned partitioning (stage-F
     // divergence, fuzz seeds 69/90/121).
     int predicted = predictor.predict();
+    Partition next = step;
     bool reused = false;
     std::string reason = "no_transition";
     if (predicted >= 0 && predicted != currentPhase) {
@@ -163,10 +172,7 @@ PhaseHillClimbing::overrideAnchor(SmtCpu &cpu, Partition next)
         args.set("predicted", predicted);
         args.set("reused", reused);
         args.set("reason", reason);
-        Json shares = Json::array();
-        for (int i = 0; i < next.numThreads; ++i)
-            shares.push(Json(next.share[i]));
-        args.set("next_anchor", std::move(shares));
+        args.set("next_anchor", shareJson(next));
         evt->instant(cpu.now(), eventTraceRef.pid, kControlTid, "phase",
                      "reuse.decision", std::move(args));
     }

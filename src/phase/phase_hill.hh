@@ -30,10 +30,6 @@ class PhaseHillClimbing : public HillClimbing
     PhaseHillClimbing &operator=(const PhaseHillClimbing &) = delete;
 
     std::string name() const override;
-    void attach(SmtCpu &cpu) override;
-    void epoch(SmtCpu &cpu, std::uint64_t epoch_id) override;
-    void threadAttached(SmtCpu &cpu, ThreadId tid) override;
-    void threadDetached(SmtCpu &cpu, ThreadId tid) override;
     std::unique_ptr<ResourcePolicy> clone() const override;
 
     /** @return distinct phases observed so far. */
@@ -72,10 +68,21 @@ class PhaseHillClimbing : public HillClimbing
     static constexpr std::uint64_t kReuseMinAvgRun = 2;
 
   protected:
-    Partition overrideAnchor(SmtCpu &cpu, Partition next) override;
+    void epochEnded(const SmtCpu &cpu) override;
+    void restart(SmtCpu &cpu) override;
+    EpochStep learn(SmtCpu &cpu, const IpcSample &sample, double metric,
+                    bool dirty) override;
+    void churned(SmtCpu &cpu, ThreadId tid, bool attached) override;
 
   private:
     static void branchTrampoline(void *ctx, const CommittedBranch &cb);
+
+    /**
+     * The anchor to move to instead of the gradient @p step: the
+     * partitioning learned for the predicted next phase, when reuse
+     * applies; else @p step itself.
+     */
+    Partition reuse(const SmtCpu &cpu, const Partition &step);
 
     /** @return true if @p phase has shown multi-epoch persistence. */
     bool phaseStable(int phase) const;

@@ -12,24 +12,6 @@ namespace smthill
 namespace
 {
 
-Json
-shareJson(const Partition &p)
-{
-    Json arr = Json::array();
-    for (int i = 0; i < p.numThreads; ++i)
-        arr.push(Json(p.share[i]));
-    return arr;
-}
-
-Json
-ipcJson(const IpcSample &s)
-{
-    Json arr = Json::array();
-    for (int i = 0; i < s.numThreads; ++i)
-        arr.push(Json(s.ipc[i]));
-    return arr;
-}
-
 StatCounter &
 banditEpochs()
 {
@@ -53,27 +35,15 @@ banditRebuilds()
     return c;
 }
 
-HillConfig
-hillBase(const BanditConfig &b)
-{
-    HillConfig h;
-    h.epochSize = b.epochSize;
-    h.delta = std::max(1, b.stride);
-    h.metric = b.metric;
-    h.softwareCost = b.softwareCost;
-    h.minShare = b.minShare;
-    // The bandit never solo-samples: the base's sampling machinery
-    // stays inert and weighted rewards normalize by config.singleIpc
-    // (or run unnormalized where the caller left it zero).
-    h.sampleSingleIpc = false;
-    return h;
-}
-
 } // namespace
 
 BanditAllocator::BanditAllocator(BanditConfig config)
-    : HillClimbing(hillBase(config)), bcfg(config), rng(config.seed)
+    : EpochLearner(config.metric, config.softwareCost, config.minShare,
+                   /*sample_solo=*/false, 0, config.singleIpc),
+      bcfg(config), rng(config.seed)
 {
+    if (bcfg.epochSize < 1)
+        fatal("BanditAllocator: epoch size must be >= 1");
     if (bcfg.stride < 1)
         fatal("BanditAllocator: stride must be >= 1");
     if (bcfg.gamma <= 0.0 || bcfg.gamma > 1.0)
@@ -111,14 +81,13 @@ BanditAllocator::rebuildArms(const SmtCpu &cpu)
         // so the arms are an equal split plus trialPartition spokes
         // at 1x/2x/4x stride around it — bounded at 1 + 3 * na.
         Partition equalBase = redistributeDetached(
-            Partition::equal(nt, total), activeMask, bcfg.minShare);
+            Partition::equal(nt, total), activeMask, minShare);
         armSet.push_back(equalBase);
         for (int k = 0; k < na; ++k) {
             int tid = activeAt(k);
             for (int m : {1, 2, 4}) {
                 Partition arm = trialPartition(equalBase, tid,
-                                               bcfg.stride * m,
-                                               bcfg.minShare);
+                                               bcfg.stride * m, minShare);
                 if (std::find(armSet.begin(), armSet.end(), arm) ==
                     armSet.end())
                     armSet.push_back(arm);
@@ -234,150 +203,56 @@ BanditAllocator::pullArm(SmtCpu &cpu, int previous_arm, double reward)
 }
 
 void
-BanditAllocator::attach(SmtCpu &cpu)
+BanditAllocator::restart(SmtCpu &cpu)
 {
-    int nt = cpu.numThreads();
-    anchorPartition = Partition::equal(nt, cpu.config().intRegs);
-    roundPerf.fill(0.0);
-    singleIpcEst = bcfg.singleIpc;
-    lastCommitted = cpu.stats().committed;
-    lastEpochStart = cpu.now();
-    roundStart = cpu.now();
-    lastElapsed = 0;
-    algEpoch = 0;
-    epochsSinceSample = 0;
-    sampleRotation = 0;
-    samplingThread = -1;
-    bootstrapPending = 0;
-    roundPos = 0;
-    roundDirty = false;
-    needsSolo.fill(false);
-    residentAccum.fill(0);
-    residentFrom.fill(cpu.now());
-    int na = 0;
-    for (int i = 0; i < nt; ++i) {
-        activeMask[i] = cpu.threadEnabled(static_cast<ThreadId>(i));
-        na += activeMask[i] ? 1 : 0;
-    }
-    openSystemMode = na < nt;
-    for (int i = 0; i < nt; ++i)
-        cpu.setFetchLocked(static_cast<ThreadId>(i), false);
-    if (openSystemMode)
-        anchorPartition = redistributeDetached(anchorPartition,
-                                               activeMask, cfg.minShare);
     rng = Rng(bcfg.seed);
     rebuildArms(cpu);
-    if (na >= 2 && !armSet.empty())
+}
+
+void
+BanditAllocator::install(SmtCpu &cpu)
+{
+    if (numActive(cpu.numThreads()) >= 2 && !armSet.empty())
         pullArm(cpu, -1, 0.0);
     else
         cpu.clearPartition();
 }
 
-void
-BanditAllocator::epoch(SmtCpu &cpu, std::uint64_t epoch_id)
+EpochLearner::EpochStep
+BanditAllocator::learn(SmtCpu &cpu, const IpcSample &, double metric,
+                       bool dirty)
 {
-    int nt = cpu.numThreads();
-    int na = numActive(nt);
-    // Consume the churn flag: it covers the epoch that just ended.
-    bool dirty = roundDirty;
-    roundDirty = false;
-    IpcSample sample = measureEpoch(cpu);
-    Partition ran = cpu.partition();
-    bool ran_partitioned = cpu.partitioningEnabled();
-    double reward = evalActiveMetric(sample);
-
-    if (EventTrace *evt = eventTraceRef.trace) {
-        Json args = Json::object();
-        args.set("epoch", epoch_id);
-        args.set("kind", "learn");
-        args.set("ipc", ipcJson(sample));
-        evt->complete(lastEpochStart,
-                      static_cast<std::int64_t>(lastElapsed),
-                      eventTraceRef.pid, kControlTid, "epoch", "epoch",
-                      std::move(args));
-    }
-
     // A churn-dirtied epoch ran (at least partly) under a different
     // active set; crediting its reward would poison the arm stats.
     int prev = armInFlight;
-    bool credited = !dirty && prev >= 0 &&
-                    prev < static_cast<int>(armSet.size());
-    if (credited)
-        applyReward(prev, reward);
+    if (!dirty && prev >= 0 && prev < static_cast<int>(armSet.size()))
+        applyReward(prev, metric);
 
-    bool moved = false;
+    EpochStep step;
     armInFlight = -1;
-    if (na >= 2 && !armSet.empty()) {
-        pullArm(cpu, prev, reward);
-        moved = armInFlight != prev;
+    if (numActive(cpu.numThreads()) >= 2 && !armSet.empty()) {
+        pullArm(cpu, prev, metric);
+        step.anchorMoved = armInFlight != prev;
     } else {
         cpu.clearPartition();
     }
     ++algEpoch;
     banditEpochs().inc();
-    traceEpoch(cpu, epoch_id, sample, ran, ran_partitioned, reward, -1,
-               -1, moved);
-    chargeBoundary(cpu);
+    return step;
 }
 
 void
-BanditAllocator::threadAttached(SmtCpu &cpu, ThreadId tid)
+BanditAllocator::churned(SmtCpu &cpu, ThreadId, bool)
 {
-    int nt = cpu.numThreads();
-    openSystemMode = true;
-    activeMask[tid] = true;
-    residentAccum[tid] = 0;
-    residentFrom[tid] = cpu.now();
-    lastCommitted[tid] = cpu.stats().committed[tid];
-    singleIpcEst[tid] = bcfg.singleIpc[tid];
-    // Drained-anchor re-seed: after an all-departure the anchor holds
-    // no shares, and admitAttached conserves the total it is given.
-    if (anchorPartition.total() == 0)
-        anchorPartition.share[tid] = cpu.config().intRegs;
-    anchorPartition =
-        admitAttached(anchorPartition, activeMask, tid, cfg.minShare);
-    roundDirty = true;
+    // An arm names shares of specific contexts: a changed active set
+    // changes what every arm means.
     rebuildArms(cpu);
-    if (numActive(nt) >= 2)
-        cpu.setPartition(anchorPartition);
-    else
-        cpu.clearPartition();
-    if (EventTrace *evt = eventTraceRef.trace) {
-        Json args = Json::object();
-        args.set("thread", static_cast<int>(tid));
-        args.set("arms", static_cast<std::uint64_t>(armSet.size()));
-        args.set("anchor", shareJson(anchorPartition));
-        evt->instant(cpu.now(), eventTraceRef.pid, kControlTid, "bandit",
-                     "churn.attach", std::move(args));
-    }
 }
 
 void
-BanditAllocator::threadDetached(SmtCpu &cpu, ThreadId tid)
+BanditAllocator::churnArgs(Json &args) const
 {
-    int nt = cpu.numThreads();
-    openSystemMode = true;
-    if (activeMask[tid]) {
-        Cycle from = std::max(residentFrom[tid], lastEpochStart);
-        residentAccum[tid] += cpu.now() > from ? cpu.now() - from : 0;
-    }
-    activeMask[tid] = false;
-    anchorPartition =
-        redistributeDetached(anchorPartition, activeMask, cfg.minShare);
-    roundDirty = true;
-    rebuildArms(cpu);
-    if (numActive(nt) >= 2)
-        cpu.setPartition(anchorPartition);
-    else
-        cpu.clearPartition();
-    if (EventTrace *evt = eventTraceRef.trace) {
-        Json args = Json::object();
-        args.set("thread", static_cast<int>(tid));
-        args.set("arms", static_cast<std::uint64_t>(armSet.size()));
-        args.set("anchor", shareJson(anchorPartition));
-        evt->instant(cpu.now(), eventTraceRef.pid, kControlTid, "bandit",
-                     "churn.detach", std::move(args));
-    }
+    args.set("arms", static_cast<std::uint64_t>(armSet.size()));
 }
 
 std::unique_ptr<ResourcePolicy>

@@ -6,20 +6,19 @@
  * epoch's performance metric is the arm's reward. Two classic index
  * policies are provided — UCB1 (deterministic optimism) and EXP3
  * (adversarial, samples arms from a weight distribution seeded from
- * common/rng) — behind the same ResourcePolicy surface as the
- * hill-climber, sharing its epoch measurement, software-cost
- * charging, and open-system residency accounting via the HillClimbing
- * base. The lattice, not the gradient, does the exploring: with two
- * active threads the arms are exactly enumeratePartitions2(total,
- * stride); with more, an equal-split arm plus trialPartition spokes
- * around it.
+ * common/rng) — on the same EpochLearner skeleton as the
+ * hill-climber, which owns the epoch measurement, software-cost
+ * charging, and open-system residency accounting. The lattice, not
+ * the gradient, does the exploring: with two active threads the arms
+ * are exactly enumeratePartitions2(total, stride); with more, an
+ * equal-split arm plus trialPartition spokes around it.
  *
- * Unlike HILL, the bandit never runs solo-sampling epochs: weighted
- * rewards (WIPC/HWIPC) normalize by config.singleIpc when the caller
- * supplies solo estimates (harness soloIpcs), and otherwise fall back
- * to the evalMetric single-IPC <= 0 convention (solo = 1.0, i.e.
- * unnormalized) — rewards stay comparable across arms either way,
- * which is all a bandit needs.
+ * Unlike HILL, the bandit takes the oracle solo source and never runs
+ * solo-sampling epochs: weighted rewards (WIPC/HWIPC) normalize by
+ * config.singleIpc when the caller supplies solo estimates (harness
+ * soloIpcs), and otherwise fall back to the evalMetric single-IPC <= 0
+ * convention (solo = 1.0, i.e. unnormalized) — rewards stay
+ * comparable across arms either way, which is all a bandit needs.
  */
 
 #ifndef SMTHILL_POLICY_BANDIT_HH
@@ -30,7 +29,7 @@
 #include <vector>
 
 #include "common/rng.hh"
-#include "core/hill_climbing.hh"
+#include "core/epoch_learner.hh"
 
 namespace smthill
 {
@@ -64,7 +63,7 @@ struct BanditConfig
 };
 
 /** The BANDIT resource-distribution policy (UCB1 or EXP3). */
-class BanditAllocator : public HillClimbing
+class BanditAllocator : public EpochLearner
 {
   public:
     explicit BanditAllocator(BanditConfig config = BanditConfig{});
@@ -72,10 +71,6 @@ class BanditAllocator : public HillClimbing
     BanditAllocator &operator=(const BanditAllocator &) = delete;
 
     std::string name() const override;
-    void attach(SmtCpu &cpu) override;
-    void epoch(SmtCpu &cpu, std::uint64_t epoch_id) override;
-    void threadAttached(SmtCpu &cpu, ThreadId tid) override;
-    void threadDetached(SmtCpu &cpu, ThreadId tid) override;
     std::unique_ptr<ResourcePolicy> clone() const override;
 
     const BanditConfig &banditConfig() const { return bcfg; }
@@ -97,6 +92,15 @@ class BanditAllocator : public HillClimbing
 
     /** @return total pulls since the last lattice (re)build. */
     std::uint64_t pulls() const { return totalPlays; }
+
+  protected:
+    void restart(SmtCpu &cpu) override;
+    void install(SmtCpu &cpu) override;
+    EpochStep learn(SmtCpu &cpu, const IpcSample &sample, double metric,
+                    bool dirty) override;
+    void churned(SmtCpu &cpu, ThreadId tid, bool attached) override;
+    const char *category() const override { return "bandit"; }
+    void churnArgs(Json &args) const override;
 
   private:
     /**

@@ -11,24 +11,6 @@ namespace smthill
 namespace
 {
 
-Json
-shareJson(const Partition &p)
-{
-    Json arr = Json::array();
-    for (int i = 0; i < p.numThreads; ++i)
-        arr.push(Json(p.share[i]));
-    return arr;
-}
-
-Json
-ipcJson(const IpcSample &s)
-{
-    Json arr = Json::array();
-    for (int i = 0; i < s.numThreads; ++i)
-        arr.push(Json(s.ipc[i]));
-    return arr;
-}
-
 StatCounter &
 rlEpochs()
 {
@@ -51,26 +33,17 @@ rlMoves()
     return c;
 }
 
-HillConfig
-hillBase(const RlConfig &r)
-{
-    HillConfig h;
-    h.epochSize = r.epochSize;
-    h.delta = r.delta;
-    h.metric = r.metric;
-    h.softwareCost = r.softwareCost;
-    h.minShare = r.minShare;
-    // The RL learner never solo-samples: weighted metrics run
-    // unnormalized via the evalMetric fallback.
-    h.sampleSingleIpc = false;
-    return h;
-}
-
 } // namespace
 
 RlAllocator::RlAllocator(RlConfig config)
-    : HillClimbing(hillBase(config)), rcfg(config), rng(config.seed)
+    : EpochLearner(config.metric, config.softwareCost, config.minShare,
+                   /*sample_solo=*/false, 0, config.singleIpc),
+      rcfg(config), rng(config.seed)
 {
+    if (rcfg.delta < 1)
+        fatal("RlAllocator: delta must be >= 1");
+    if (rcfg.epochSize < 1)
+        fatal("RlAllocator: epoch size must be >= 1");
     if (rcfg.alpha <= 0.0 || rcfg.alpha > 1.0)
         fatal("RlAllocator: alpha must be in (0, 1]");
     if (rcfg.discount < 0.0 || rcfg.discount >= 1.0)
@@ -139,37 +112,8 @@ RlAllocator::selectAction(int state, int nt)
 }
 
 void
-RlAllocator::attach(SmtCpu &cpu)
+RlAllocator::restart(SmtCpu &)
 {
-    int nt = cpu.numThreads();
-    anchorPartition = Partition::equal(nt, cpu.config().intRegs);
-    roundPerf.fill(0.0);
-    singleIpcEst = rcfg.singleIpc;
-    lastCommitted = cpu.stats().committed;
-    lastEpochStart = cpu.now();
-    roundStart = cpu.now();
-    lastElapsed = 0;
-    algEpoch = 0;
-    epochsSinceSample = 0;
-    sampleRotation = 0;
-    samplingThread = -1;
-    bootstrapPending = 0;
-    roundPos = 0;
-    roundDirty = false;
-    needsSolo.fill(false);
-    residentAccum.fill(0);
-    residentFrom.fill(cpu.now());
-    int na = 0;
-    for (int i = 0; i < nt; ++i) {
-        activeMask[i] = cpu.threadEnabled(static_cast<ThreadId>(i));
-        na += activeMask[i] ? 1 : 0;
-    }
-    openSystemMode = na < nt;
-    for (int i = 0; i < nt; ++i)
-        cpu.setFetchLocked(static_cast<ThreadId>(i), false);
-    if (openSystemMode)
-        anchorPartition = redistributeDetached(anchorPartition,
-                                               activeMask, cfg.minShare);
     rng = Rng(rcfg.seed);
     for (auto &row : qTable)
         row.fill(0.0);
@@ -177,77 +121,60 @@ RlAllocator::attach(SmtCpu &cpu)
     lastAction = -1;
     exploreCount = 0;
     moveCount = 0;
+}
+
+void
+RlAllocator::install(SmtCpu &cpu)
+{
     // The first epoch runs under the plain anchor; learning starts at
     // the first boundary once a reward exists to update from.
-    if (na >= 2)
+    if (numActive(cpu.numThreads()) >= 2)
         cpu.setPartition(anchorPartition);
     else
         cpu.clearPartition();
 }
 
-void
-RlAllocator::epoch(SmtCpu &cpu, std::uint64_t epoch_id)
+EpochLearner::EpochStep
+RlAllocator::learn(SmtCpu &cpu, const IpcSample &, double metric,
+                   bool dirty)
 {
     int nt = cpu.numThreads();
     int na = numActive(nt);
-    // Consume the churn flag: it covers the epoch that just ended.
-    bool dirty = roundDirty;
-    roundDirty = false;
-    IpcSample sample = measureEpoch(cpu);
-    Partition ran = cpu.partition();
-    bool ran_partitioned = cpu.partitioningEnabled();
-    double reward = evalActiveMetric(sample);
-
-    EventTrace *evt = eventTraceRef.trace;
-    int evtPid = eventTraceRef.pid;
-    if (evt) {
-        Json args = Json::object();
-        args.set("epoch", epoch_id);
-        args.set("kind", "learn");
-        args.set("ipc", ipcJson(sample));
-        evt->complete(lastEpochStart,
-                      static_cast<std::int64_t>(lastElapsed), evtPid,
-                      kControlTid, "epoch", "epoch", std::move(args));
-    }
-
     int state = na >= 1 ? stateOf() : -1;
     // Q-update from the transition that just completed. A
     // churn-dirtied epoch ran under a different active set; its
     // reward is not attributable to (lastState, lastAction).
     if (!dirty && lastState >= 0 && lastAction >= 0 && state >= 0) {
-        double target =
-            reward + rcfg.discount * bestValue(state, nt);
+        double target = metric + rcfg.discount * bestValue(state, nt);
         qTable[lastState][lastAction] +=
             rcfg.alpha * (target - qTable[lastState][lastAction]);
     }
 
-    bool moved = false;
-    int gradient = -1;
+    EpochStep step;
     if (na >= 2 && state >= 0) {
         int action = selectAction(state, nt);
         if (action != kStay) {
             Partition before = anchorPartition;
-            Partition next = moveAnchor(anchorPartition, action,
-                                        cfg.delta, cfg.minShare);
-            anchorPartition = overrideAnchor(cpu, next);
-            moved = !(anchorPartition == before);
-            gradient = action;
-            if (moved) {
+            anchorPartition = moveAnchor(anchorPartition, action,
+                                         rcfg.delta, minShare);
+            step.anchorMoved = !(anchorPartition == before);
+            step.gradientThread = action;
+            if (step.anchorMoved) {
                 ++moveCount;
                 rlMoves().inc();
-                if (evt) {
+                if (EventTrace *evt = eventTraceRef.trace) {
                     Json args = Json::object();
                     args.set("alg_epoch", algEpoch);
                     args.set("state", state);
                     args.set("action", action);
-                    args.set("reward", reward);
+                    args.set("reward", metric);
                     args.set("q", qTable[state][action]);
                     args.set("anchor_before", shareJson(before));
-                    args.set("anchor_step", shareJson(next));
-                    args.set("anchor_after",
-                             shareJson(anchorPartition));
-                    evt->instant(cpu.now(), evtPid, kControlTid, "rl",
-                                 "anchor.move", std::move(args));
+                    args.set("anchor_step", shareJson(anchorPartition));
+                    args.set("anchor_after", shareJson(anchorPartition));
+                    evt->instant(cpu.now(), eventTraceRef.pid,
+                                 kControlTid, "rl", "anchor.move",
+                                 std::move(args));
                 }
             }
         }
@@ -261,75 +188,22 @@ RlAllocator::epoch(SmtCpu &cpu, std::uint64_t epoch_id)
     }
     ++algEpoch;
     rlEpochs().inc();
-    traceEpoch(cpu, epoch_id, sample, ran, ran_partitioned, reward, -1,
-               gradient, moved);
-    chargeBoundary(cpu);
+    return step;
 }
 
 void
-RlAllocator::threadAttached(SmtCpu &cpu, ThreadId tid)
+RlAllocator::churned(SmtCpu &, ThreadId tid, bool attached)
 {
-    int nt = cpu.numThreads();
-    openSystemMode = true;
-    activeMask[tid] = true;
-    residentAccum[tid] = 0;
-    residentFrom[tid] = cpu.now();
-    lastCommitted[tid] = cpu.stats().committed[tid];
-    singleIpcEst[tid] = rcfg.singleIpc[tid];
-    // Drained-anchor re-seed: after an all-departure the anchor holds
-    // no shares, and admitAttached conserves the total it is given.
-    if (anchorPartition.total() == 0)
-        anchorPartition.share[tid] = cpu.config().intRegs;
-    anchorPartition =
-        admitAttached(anchorPartition, activeMask, tid, cfg.minShare);
-    roundDirty = true;
     lastState = -1;
     lastAction = -1;
+    if (!attached)
+        return;
     // A fresh job in a reused context invalidates what was learned
     // about that context: zero its state row and the move-toward-it
     // action column.
     qTable[tid].fill(0.0);
     for (auto &row : qTable)
         row[tid] = 0.0;
-    if (numActive(nt) >= 2)
-        cpu.setPartition(anchorPartition);
-    else
-        cpu.clearPartition();
-    if (EventTrace *evt = eventTraceRef.trace) {
-        Json args = Json::object();
-        args.set("thread", static_cast<int>(tid));
-        args.set("anchor", shareJson(anchorPartition));
-        evt->instant(cpu.now(), eventTraceRef.pid, kControlTid, "rl",
-                     "churn.attach", std::move(args));
-    }
-}
-
-void
-RlAllocator::threadDetached(SmtCpu &cpu, ThreadId tid)
-{
-    int nt = cpu.numThreads();
-    openSystemMode = true;
-    if (activeMask[tid]) {
-        Cycle from = std::max(residentFrom[tid], lastEpochStart);
-        residentAccum[tid] += cpu.now() > from ? cpu.now() - from : 0;
-    }
-    activeMask[tid] = false;
-    anchorPartition =
-        redistributeDetached(anchorPartition, activeMask, cfg.minShare);
-    roundDirty = true;
-    lastState = -1;
-    lastAction = -1;
-    if (numActive(nt) >= 2)
-        cpu.setPartition(anchorPartition);
-    else
-        cpu.clearPartition();
-    if (EventTrace *evt = eventTraceRef.trace) {
-        Json args = Json::object();
-        args.set("thread", static_cast<int>(tid));
-        args.set("anchor", shareJson(anchorPartition));
-        evt->instant(cpu.now(), eventTraceRef.pid, kControlTid, "rl",
-                     "churn.detach", std::move(args));
-    }
 }
 
 std::unique_ptr<ResourcePolicy>

@@ -11,11 +11,12 @@
  * exploration draw taken from a seeded common/rng stream, so clones
  * replay bit-identically.
  *
- * Like the bandit, the RL learner shares HillClimbing's epoch
- * measurement, software-cost charging, and open-system residency
- * accounting, and never runs solo-sampling epochs: weighted rewards
- * normalize by config.singleIpc when the caller supplies solo
- * estimates, else run unnormalized via the evalMetric fallback.
+ * Like the bandit, the RL learner runs on the EpochLearner skeleton
+ * (epoch measurement, software-cost charging, open-system residency
+ * accounting) with the oracle solo source, so it never runs
+ * solo-sampling epochs: weighted rewards normalize by
+ * config.singleIpc when the caller supplies solo estimates, else run
+ * unnormalized via the evalMetric fallback.
  */
 
 #ifndef SMTHILL_POLICY_RL_ALLOC_HH
@@ -25,7 +26,7 @@
 #include <cstdint>
 
 #include "common/rng.hh"
-#include "core/hill_climbing.hh"
+#include "core/epoch_learner.hh"
 
 namespace smthill
 {
@@ -52,7 +53,7 @@ struct RlConfig
 };
 
 /** The RL resource-distribution policy (epsilon-greedy Q-learning). */
-class RlAllocator : public HillClimbing
+class RlAllocator : public EpochLearner
 {
   public:
     /** Action index meaning "keep the anchor where it is". */
@@ -63,10 +64,6 @@ class RlAllocator : public HillClimbing
     RlAllocator &operator=(const RlAllocator &) = delete;
 
     std::string name() const override;
-    void attach(SmtCpu &cpu) override;
-    void epoch(SmtCpu &cpu, std::uint64_t epoch_id) override;
-    void threadAttached(SmtCpu &cpu, ThreadId tid) override;
-    void threadDetached(SmtCpu &cpu, ThreadId tid) override;
     std::unique_ptr<ResourcePolicy> clone() const override;
 
     const RlConfig &rlConfig() const { return rcfg; }
@@ -82,6 +79,14 @@ class RlAllocator : public HillClimbing
 
     /** @return actions that actually moved the anchor. */
     std::uint64_t anchorMoves() const { return moveCount; }
+
+  protected:
+    void restart(SmtCpu &cpu) override;
+    void install(SmtCpu &cpu) override;
+    EpochStep learn(SmtCpu &cpu, const IpcSample &sample, double metric,
+                    bool dirty) override;
+    void churned(SmtCpu &cpu, ThreadId tid, bool attached) override;
+    const char *category() const override { return "rl"; }
 
   private:
     /** @return the active context holding the largest anchor share. */

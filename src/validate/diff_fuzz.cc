@@ -101,7 +101,7 @@ learnerName(int which)
 }
 
 /** Build the @p which-th learner of the stage H family for @p c. */
-std::unique_ptr<ResourcePolicy>
+std::unique_ptr<EpochLearner>
 makeLearner(const FuzzCase &c, int which)
 {
     switch (which % 5) {
@@ -497,7 +497,7 @@ stagePhaseFreeDiff(const FuzzCase &c, FuzzResult &r)
 
     // Synthesize programs with no phase behavior at all: on a single
     // stable phase the predictor always forecasts "same phase", so
-    // overrideAnchor must be the identity and PHASE-HILL must walk
+    // phase reuse never fires and PHASE-HILL must walk
     // exactly HILL's anchor trajectory.
     Rng rng(c.seed ^ 0xF00DF00Du);
     std::vector<StreamGenerator> gens;
@@ -815,7 +815,7 @@ stageLearnerPairDiff(const FuzzCase &c, FuzzResult &r)
     std::array<std::size_t, 2> traceLen{};
     for (int k = 0; k < 2; ++k) {
         const char *who = learnerName(pair[k]);
-        std::unique_ptr<ResourcePolicy> p = makeLearner(c, pair[k]);
+        std::unique_ptr<EpochLearner> p = makeLearner(c, pair[k]);
         std::unique_ptr<ResourcePolicy> q = p->clone();
         EpochTracer tracer;
         p->setEpochTracer(&tracer);
@@ -832,9 +832,11 @@ stageLearnerPairDiff(const FuzzCase &c, FuzzResult &r)
         finalCycle[k] = ra.finalSnapshot.cycle;
         traceLen[k] = tracer.size();
 
-        // The decision-audit event stream must be internally sane.
+        // The decision-audit event stream must be internally sane, and
+        // the epoch trace must agree with the live learner.
         InvariantChecker chk;
         chk.checkEventStream(evt.events());
+        chk.checkEpochTrace(*p, tracer);
         drainChecker(r, kStage, chk);
 
         // Epoch-trace sanity: one record per boundary; any installed

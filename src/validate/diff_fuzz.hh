@@ -37,7 +37,9 @@
  *     BANDIT-EXP3, RL-Q) runs the same phase-free machine. Each
  *     learner must replay bit-identically under a fresh clone, emit
  *     an internally sane event stream, and trace one record per
- *     epoch whose installed partitions conserve the register file;
+ *     epoch whose installed partitions conserve the register file
+ *     and whose last record agrees with the live learner (anchor and
+ *     SingleIPC estimates);
  *     the pair must agree on epoch cadence (final cycle and trace
  *     length), and each learner must survive a churn scenario with
  *     exact job accounting and a bit-identical cloned rerun.

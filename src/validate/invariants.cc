@@ -315,24 +315,24 @@ InvariantChecker::checkCacheCounters(const MemoryHierarchy &memory)
 }
 
 void
-InvariantChecker::checkEpochTrace(const HillClimbing &hill,
+InvariantChecker::checkEpochTrace(const EpochLearner &learner,
                                   const EpochTracer &tracer)
 {
     if (tracer.empty())
         return;
     const auto &recs = tracer.records();
     const EpochTraceRecord &last = recs.back();
-    if (!(last.anchor == hill.anchor())) {
+    if (!(last.anchor == learner.anchor())) {
         report("trace.anchor",
                msg("last trace anchor ", last.anchor.str(),
-                   " != live anchor ", hill.anchor().str()));
+                   " != live anchor ", learner.anchor().str()));
     }
     for (int i = 0; i < last.anchor.numThreads; ++i) {
-        if (last.singleIpcEst[i] != hill.singleIpc()[i]) {
+        if (last.singleIpcEst[i] != learner.singleIpc()[i]) {
             report("trace.single_ipc",
                    msg("thread ", i, " traced SingleIPC estimate ",
                        last.singleIpcEst[i], " != live ",
-                       hill.singleIpc()[i]));
+                       learner.singleIpc()[i]));
         }
     }
     for (std::size_t r = 0; r < recs.size(); ++r) {

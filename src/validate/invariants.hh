@@ -37,7 +37,7 @@
 
 #include "common/event_trace.hh"
 #include "core/epoch_trace.hh"
-#include "core/hill_climbing.hh"
+#include "core/epoch_learner.hh"
 #include "pipeline/cpu.hh"
 
 namespace smthill
@@ -164,7 +164,7 @@ class InvariantChecker
      * current state, epoch ids increase strictly, and measured
      * windows/IPCs are sane.
      */
-    void checkEpochTrace(const HillClimbing &hill,
+    void checkEpochTrace(const EpochLearner &learner,
                          const EpochTracer &tracer);
 
     /**

@@ -7,6 +7,8 @@
 
 #include "core/hill_climbing.hh"
 #include "harness/runner.hh"
+#include "policy/bandit.hh"
+#include "policy/rl_alloc.hh"
 #include "trace/program_profile.hh"
 
 namespace smthill
@@ -283,6 +285,35 @@ TEST(HillClimbing, RejectsBadConfig)
     HillConfig hc;
     hc.delta = 0;
     EXPECT_DEATH(HillClimbing h(hc), "delta");
+}
+
+TEST(HillClimbing, LearnersNameThemselvesInConfigErrors)
+{
+    RlConfig rc;
+    rc.delta = 0;
+    EXPECT_DEATH(RlAllocator r(rc), "RlAllocator: delta must be >= 1");
+    rc = RlConfig{};
+    rc.epochSize = 0;
+    EXPECT_DEATH(RlAllocator r(rc), "RlAllocator: epoch size");
+    BanditConfig bc;
+    bc.epochSize = 0;
+    EXPECT_DEATH(BanditAllocator b(bc), "BanditAllocator: epoch size");
+}
+
+TEST(HillClimbing, ActiveAtReportsTheRequestedIndex)
+{
+    // Expose the protected active-set lookup.
+    struct HillProbe : HillClimbing {
+        using HillClimbing::HillClimbing;
+        using HillClimbing::activeAt;
+    };
+
+    SmtCpu cpu = asymmetricCpu();
+    HillProbe hill(fastConfig());
+    hill.attach(cpu);
+    EXPECT_EQ(hill.activeAt(1), 1);
+    EXPECT_DEATH(hill.activeAt(5),
+                 "HILL-IPC: no active thread at index 5 \\(2 active\\)");
 }
 
 // --- Open-system churn (PR 7) ---------------------------------------

@@ -11,7 +11,8 @@
 #   lint     smthill_lint over the tree (ctest -R Lint)
 #   analyze  smthill_analyze cross-TU passes (ctest -R Analyze)
 #   tidy     clang-tidy wrapper (skips without clang-tidy)
-#   asan     -DSMTHILL_SANITIZE=address build + FuzzSmoke + tests
+#   asan     -DSMTHILL_SANITIZE=address build + FuzzSmoke + the
+#            ROADMAP ASan suites
 #   tsan     -DSMTHILL_SANITIZE=thread build + parallel suites
 #   benchdiff  report-only perf diff of bench/BENCH_sim_speed.json
 #              against a fresh bench_sim_speed run (never fails the
@@ -71,9 +72,17 @@ echo "== tidy: clang-tidy wrapper =="
 record tidy $?
 
 echo "== asan: address-sanitized fuzz smoke + tests =="
+# The ROADMAP's ASan suite regex (observability/export, churn,
+# bandit/RL, golden learner digests) plus the fuzz smoke.
+ASAN_SUITES='Json|StatRegistry|EpochTracer|EventTrace|TraceReport'
+ASAN_SUITES="$ASAN_SUITES|MachineReport|Observability|Profile|Snapshot"
+ASAN_SUITES="$ASAN_SUITES|BenchDiff|HillMeasurement|HillBootstrap"
+ASAN_SUITES="$ASAN_SUITES|PartitionMoves|OpenSystem|HillClimbingChurn"
+ASAN_SUITES="$ASAN_SUITES|ChurnRefeasibility|Bandit|RlAlloc|LearnerGolden"
 stage_build "$SRC_DIR/build-asan" -DSMTHILL_SANITIZE=address &&
     (cd "$SRC_DIR/build-asan" &&
-     ctest --output-on-failure -j "$JOBS" -R 'FuzzSmoke|TsanFixture')
+     ctest --output-on-failure -j "$JOBS" \
+           -R "$ASAN_SUITES|FuzzSmoke|TsanFixture")
 record asan $?
 
 echo "== tsan: thread-sanitized parallel suites =="
