@@ -1,19 +1,19 @@
 /**
  * @file
- * Pipeline-visibility example: attach a tracer to the machine, run a
- * short window of a workload under FLUSH, and show (a) the last
- * pipeline events including squashes, and (b) an ASCII occupancy
- * timeline of the partitioned resources — the clog-and-recover
- * dynamics the resource-distribution policies fight over.
+ * Pipeline-visibility example: run a short window of a workload under
+ * FLUSH and show (a) an ASCII occupancy timeline of the partitioned
+ * resources — the clog-and-recover dynamics the resource-distribution
+ * policies fight over — and (b) the last per-instruction `inst.*`
+ * events of the machine's event trace, squashes included.
  *
  *   ./pipeline_trace [workload-name]   (default: art-gzip)
  */
 
 #include <cstdio>
 
+#include "common/event_trace.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
-#include "pipeline/tracer.hh"
 #include "policy/flush.hh"
 #include "workload/workloads.hh"
 
@@ -54,17 +54,20 @@ main(int argc, char **argv)
                     line.c_str(), o.intRegs[0], o.intRegs[1]);
     }
 
-    // Event trace of the last few dozen pipeline events (the policy
-    // keeps running, or its fetch locks would starve the machine).
-    PipelineTracer tracer(48);
-    cpu.setTracer(&tracer);
-    for (int c = 0; c < 64; ++c) {
+    // The last few dozen instruction events: a 48-event ring keeps
+    // the newest of 1024 cycles, long enough to cross the memory
+    // stalls FLUSH leaves behind (the policy keeps running, or its
+    // fetch locks would starve the machine).
+    EventTrace trace(48);
+    cpu.setInstTrace(&trace, 0);
+    for (int c = 0; c < 1024; ++c) {
         flush.cycle(cpu);
         cpu.step();
     }
-    std::printf("\nlast %zu pipeline events:\n", tracer.size());
-    tracer.dump(stdout);
-    cpu.setTracer(nullptr);
+    std::printf("\nlast %zu pipeline events:\n", trace.size());
+    for (const SimEvent &e : trace.events())
+        std::printf("%s\n", eventSummary(e).c_str());
+    cpu.setInstTrace(nullptr, 0);
 
     // Derived statistics over a measured epoch.
     std::printf("\nderived statistics over one epoch:\n");

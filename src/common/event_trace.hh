@@ -206,6 +206,8 @@ class EventTrace
  * checkpoints — offline trial sweeps, synchronized-comparison clones,
  * fuzz copies — never interleave events into the committing run's
  * stream, and event streams stay bit-identical at any `jobs` count.
+ * Moving the owner hands the link over: the moved-to machine is the
+ * same run, and the moved-from one is never stepped again.
  */
 struct EventTraceRef
 {
@@ -214,12 +216,29 @@ struct EventTraceRef
 
     EventTraceRef() = default;
     EventTraceRef(const EventTraceRef &) {}
+    EventTraceRef(EventTraceRef &&other) noexcept
+        : trace(other.trace), pid(other.pid)
+    {
+        other.trace = nullptr;
+        other.pid = 0;
+    }
     EventTraceRef &
     operator=(const EventTraceRef &other)
     {
         if (this != &other) {
             trace = nullptr;
             pid = 0;
+        }
+        return *this;
+    }
+    EventTraceRef &
+    operator=(EventTraceRef &&other) noexcept
+    {
+        if (this != &other) {
+            trace = other.trace;
+            pid = other.pid;
+            other.trace = nullptr;
+            other.pid = 0;
         }
         return *this;
     }

@@ -17,7 +17,8 @@
  *
  * A process-wide registry (globalStats()) serves the long-lived
  * subsystems — thread pool, warm-machine/solo-IPC caches — while
- * per-run structures (EpochTracer) own their own data.
+ * per-run structures (an EventTrace, whose epoch slices also carry
+ * the epoch records) own their own data.
  */
 
 #ifndef SMTHILL_COMMON_STAT_REGISTRY_HH

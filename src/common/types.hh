@@ -62,14 +62,6 @@ opClassName(OpClass oc)
     return "?";
 }
 
-/** @return true if the op produces an integer register result. */
-inline bool
-isIntOp(OpClass oc)
-{
-    return oc == OpClass::IntAlu || oc == OpClass::IntMul ||
-           oc == OpClass::Load || oc == OpClass::Branch;
-}
-
 /** @return true if the op produces a floating-point register result. */
 inline bool
 isFpOp(OpClass oc)

@@ -7,20 +7,6 @@
 namespace smthill
 {
 
-namespace
-{
-
-Json
-ipcJson(const IpcSample &s)
-{
-    Json arr = Json::array();
-    for (int i = 0; i < s.numThreads; ++i)
-        arr.push(Json(s.ipc[i]));
-    return arr;
-}
-
-} // namespace
-
 EpochLearner::EpochLearner(PerfMetric metric, Cycle software_cost,
                            int min_share, bool sample_solo,
                            int sample_period,
@@ -398,24 +384,12 @@ EpochLearner::epoch(SmtCpu &cpu, std::uint64_t epoch_id)
     // The partition the finished epoch actually ran under.
     Partition ran = cpu.partition();
     bool ran_partitioned = cpu.partitioningEnabled();
-
-    if (EventTrace *evt = eventTraceRef.trace) {
-        // The epoch that just finished, as one slice on the control
-        // track covering the cycles the measurement actually saw.
-        Json args = Json::object();
-        args.set("epoch", epoch_id);
-        args.set("kind", samplingThread >= 0 ? "sample" : "learn");
-        args.set("ipc", ipcJson(sample));
-        evt->complete(lastEpochStart,
-                      static_cast<std::int64_t>(lastElapsed),
-                      eventTraceRef.pid, kControlTid, "epoch", "epoch",
-                      std::move(args));
-    }
+    bool was_sample = samplingThread >= 0;
 
     double metric;
     int sampled = -1;
     EpochStep step;
-    if (samplingThread >= 0) {
+    if (was_sample) {
         sampled = samplingThread;
         metric = sample.ipc[sampled];
         finishSample(cpu, sample, na);
@@ -438,7 +412,10 @@ EpochLearner::epoch(SmtCpu &cpu, std::uint64_t epoch_id)
         step = learn(cpu, sample, metric, dirty);
     }
 
-    if (epochTracerPtr) {
+    if (EventTrace *evt = eventTraceRef.trace) {
+        // The epoch that just finished, as one slice on the control
+        // track covering the cycles the measurement actually saw; its
+        // args are the epoch-trace record (core/epoch_trace.hh).
         EpochTraceRecord rec;
         rec.epochId = epoch_id;
         rec.cycle = cpu.now();
@@ -460,7 +437,12 @@ EpochLearner::epoch(SmtCpu &cpu, std::uint64_t epoch_id)
         rec.samplingThread = sampled;
         rec.anchorMoved = step.anchorMoved;
         rec.softwareCost = softwareCost;
-        epochTracerPtr->record(std::move(rec));
+        Json args = epochRecordJson(rec);
+        args.set("kind", was_sample ? "sample" : "learn");
+        evt->complete(lastEpochStart,
+                      static_cast<std::int64_t>(lastElapsed),
+                      eventTraceRef.pid, kControlTid, "epoch", "epoch",
+                      std::move(args));
     }
     chargeBoundary(cpu);
 }

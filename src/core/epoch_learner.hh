@@ -6,8 +6,9 @@
  * per-thread IPCs over the cycles the machine actually executed,
  * charges the 200-cycle software cost, keeps the stand-alone IPC
  * estimates (Section 4.2), follows the open-system active set, and
- * records the epoch-trace record and the epoch/churn events. The
- * derived learner only chooses the next partition.
+ * emits the epoch slice (which carries the epoch-trace record) and
+ * the churn events. The derived learner only chooses the next
+ * partition.
  *
  * Solo IPC estimates come from one of two sources, fixed by the
  * learner's type:

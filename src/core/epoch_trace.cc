@@ -53,7 +53,63 @@ parseShareArray(const Json &j)
 } // namespace
 
 Json
-EpochTracer::toJson(PerfMetric metric) const
+epochRecordJson(const EpochTraceRecord &r)
+{
+    Json e = Json::object();
+    e.set("epoch", Json(r.epochId));
+    e.set("cycle", Json(r.cycle));
+    e.set("elapsed_cycles", Json(r.elapsedCycles));
+    e.set("ipc", doubleArray(r.ipc, r.numThreads));
+    e.set("metric_value", Json(r.metricValue));
+    e.set("trial", r.partitioned ? shareArray(r.trial) : Json());
+    e.set("anchor", shareArray(r.anchor));
+    e.set("round_perf", doubleArray(r.roundPerf, r.numThreads));
+    e.set("single_ipc_est", doubleArray(r.singleIpcEst, r.numThreads));
+    e.set("gradient_thread", Json(r.gradientThread));
+    e.set("sampling_thread", Json(r.samplingThread));
+    e.set("anchor_moved", Json(r.anchorMoved));
+    e.set("software_cost", Json(r.softwareCost));
+    return e;
+}
+
+EpochTraceRecord
+epochRecordFromJson(const Json &e)
+{
+    EpochTraceRecord r;
+    r.epochId = static_cast<std::uint64_t>(e.at("epoch").asInt());
+    r.cycle = static_cast<Cycle>(e.at("cycle").asInt());
+    r.elapsedCycles = static_cast<Cycle>(e.at("elapsed_cycles").asInt());
+    r.numThreads = static_cast<int>(e.at("ipc").size());
+    parseDoubleArray(e.at("ipc"), r.ipc);
+    r.metricValue = e.at("metric_value").asDouble();
+    if (!e.at("trial").isNull()) {
+        r.partitioned = true;
+        r.trial = parseShareArray(e.at("trial"));
+    }
+    r.anchor = parseShareArray(e.at("anchor"));
+    parseDoubleArray(e.at("round_perf"), r.roundPerf);
+    parseDoubleArray(e.at("single_ipc_est"), r.singleIpcEst);
+    r.gradientThread = static_cast<int>(e.at("gradient_thread").asInt());
+    r.samplingThread = static_cast<int>(e.at("sampling_thread").asInt());
+    r.anchorMoved = e.at("anchor_moved").asBool();
+    r.softwareCost = static_cast<Cycle>(e.at("software_cost").asInt());
+    return r;
+}
+
+std::vector<EpochTraceRecord>
+epochRecords(const std::vector<SimEvent> &events, int pid)
+{
+    std::vector<EpochTraceRecord> recs;
+    for (const SimEvent &e : events)
+        if (e.ph == 'X' && e.cat == "epoch" && e.name == "epoch" &&
+            e.pid == pid)
+            recs.push_back(epochRecordFromJson(e.args));
+    return recs;
+}
+
+Json
+epochTraceToJson(const std::vector<EpochTraceRecord> &recs,
+                 PerfMetric metric)
 {
     Json root = Json::object();
     root.set("schema", Json("smthill.epoch-trace.v1"));
@@ -61,30 +117,14 @@ EpochTracer::toJson(PerfMetric metric) const
     root.set("num_threads",
              Json(recs.empty() ? 0 : recs.front().numThreads));
     Json epochs = Json::array();
-    for (const EpochTraceRecord &r : recs) {
-        Json e = Json::object();
-        e.set("epoch", Json(r.epochId));
-        e.set("cycle", Json(r.cycle));
-        e.set("elapsed_cycles", Json(r.elapsedCycles));
-        e.set("ipc", doubleArray(r.ipc, r.numThreads));
-        e.set("metric_value", Json(r.metricValue));
-        e.set("trial", r.partitioned ? shareArray(r.trial) : Json());
-        e.set("anchor", shareArray(r.anchor));
-        e.set("round_perf", doubleArray(r.roundPerf, r.numThreads));
-        e.set("single_ipc_est",
-              doubleArray(r.singleIpcEst, r.numThreads));
-        e.set("gradient_thread", Json(r.gradientThread));
-        e.set("sampling_thread", Json(r.samplingThread));
-        e.set("anchor_moved", Json(r.anchorMoved));
-        e.set("software_cost", Json(r.softwareCost));
-        epochs.push(std::move(e));
-    }
+    for (const EpochTraceRecord &r : recs)
+        epochs.push(epochRecordJson(r));
     root.set("epochs", std::move(epochs));
     return root;
 }
 
 std::string
-EpochTracer::toCsv() const
+epochTraceToCsv(const std::vector<EpochTraceRecord> &recs)
 {
     int nt = recs.empty() ? 0 : recs.front().numThreads;
     std::string out = "epoch,cycle,elapsed_cycles,metric_value,"
@@ -141,8 +181,8 @@ EpochTracer::toCsv() const
 }
 
 bool
-EpochTracer::fromJson(const Json &j, std::vector<EpochTraceRecord> &out,
-                      std::string &error)
+epochTraceFromJson(const Json &j, std::vector<EpochTraceRecord> &out,
+                   std::string &error)
 {
     out.clear();
     if (!j.isObject() || !j.contains("schema") ||
@@ -150,31 +190,8 @@ EpochTracer::fromJson(const Json &j, std::vector<EpochTraceRecord> &out,
         error = "not a smthill.epoch-trace.v1 document";
         return false;
     }
-    for (const Json &e : j.at("epochs").items()) {
-        EpochTraceRecord r;
-        r.epochId = static_cast<std::uint64_t>(e.at("epoch").asInt());
-        r.cycle = static_cast<Cycle>(e.at("cycle").asInt());
-        r.elapsedCycles =
-            static_cast<Cycle>(e.at("elapsed_cycles").asInt());
-        r.numThreads = static_cast<int>(e.at("ipc").size());
-        parseDoubleArray(e.at("ipc"), r.ipc);
-        r.metricValue = e.at("metric_value").asDouble();
-        if (!e.at("trial").isNull()) {
-            r.partitioned = true;
-            r.trial = parseShareArray(e.at("trial"));
-        }
-        r.anchor = parseShareArray(e.at("anchor"));
-        parseDoubleArray(e.at("round_perf"), r.roundPerf);
-        parseDoubleArray(e.at("single_ipc_est"), r.singleIpcEst);
-        r.gradientThread =
-            static_cast<int>(e.at("gradient_thread").asInt());
-        r.samplingThread =
-            static_cast<int>(e.at("sampling_thread").asInt());
-        r.anchorMoved = e.at("anchor_moved").asBool();
-        r.softwareCost =
-            static_cast<Cycle>(e.at("software_cost").asInt());
-        out.push_back(std::move(r));
-    }
+    for (const Json &e : j.at("epochs").items())
+        out.push_back(epochRecordFromJson(e));
     return true;
 }
 

@@ -1,13 +1,17 @@
 /**
  * @file
- * Per-epoch observability for the learning policies: an EpochTracer
- * collects one EpochTraceRecord per epoch boundary — measured
- * per-thread IPCs over the *actual* elapsed cycles, the trial and
- * anchor partitions, per-trial metric values of the current round,
- * the chosen gradient thread, SingleIPC estimate state, and the
- * software cost charged — so Figure 5/12-style time-varying traces
- * fall out of any run as machine-readable JSON or CSV instead of
- * stdout scraping.
+ * Per-epoch observability for the learning policies: one
+ * EpochTraceRecord per epoch boundary — measured per-thread IPCs
+ * over the *actual* elapsed cycles, the trial and anchor partitions,
+ * per-trial metric values of the current round, the chosen gradient
+ * thread, SingleIPC estimate state, and the software cost charged —
+ * so Figure 5/12-style time-varying traces fall out of any run as
+ * machine-readable JSON or CSV instead of stdout scraping.
+ *
+ * The records are not kept by a recorder of their own: every learner
+ * writes each record (epochRecordJson) into the args of its `epoch`
+ * slice in the `smthill.events.v1` trace (common/event_trace.hh),
+ * and epochRecords() projects them back out of an event stream.
  *
  * Schema (`smthill.epoch-trace.v1`): a top-level object
  *   { "schema": "smthill.epoch-trace.v1",
@@ -19,6 +23,7 @@
  *       "single_ipc_est": [..N], "gradient_thread": g | -1,
  *       "sampling_thread": s | -1, "anchor_moved": bool,
  *       "software_cost": cycles }, ... ] }
+ * Each element of "epochs" is exactly one epochRecordJson() object.
  * The CSV export flattens the same fields, one row per epoch.
  */
 
@@ -29,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "common/event_trace.hh"
 #include "common/json.hh"
 #include "core/metrics.hh"
 #include "pipeline/resources.hh"
@@ -59,36 +65,36 @@ struct EpochTraceRecord
     bool operator==(const EpochTraceRecord &) const = default;
 };
 
-/** Accumulates records and exports them as JSON or CSV. */
-class EpochTracer
-{
-  public:
-    /** Append one epoch's record. */
-    void record(EpochTraceRecord rec) { recs.push_back(std::move(rec)); }
+/** One record as a JSON object (an "epochs" element). */
+Json epochRecordJson(const EpochTraceRecord &rec);
 
-    const std::vector<EpochTraceRecord> &records() const { return recs; }
-    std::size_t size() const { return recs.size(); }
-    bool empty() const { return recs.empty(); }
-    void clear() { recs.clear(); }
+/** Parse an epochRecordJson() object; fatal on a missing field. */
+EpochTraceRecord epochRecordFromJson(const Json &j);
 
-    /** @param metric the feedback metric label for the header */
-    Json toJson(PerfMetric metric) const;
+/**
+ * The epoch records carried by the `epoch` slices of process @p pid
+ * in @p events, in stream order.
+ */
+std::vector<EpochTraceRecord>
+epochRecords(const std::vector<SimEvent> &events, int pid);
 
-    /** Flat CSV: header line + one row per epoch. */
-    std::string toCsv() const;
+/**
+ * @param metric the feedback metric label for the header
+ * @return the `smthill.epoch-trace.v1` document of @p recs
+ */
+Json epochTraceToJson(const std::vector<EpochTraceRecord> &recs,
+                      PerfMetric metric);
 
-    /**
-     * Rebuild records from a toJson() export (round-trip tests and
-     * external consumers re-deriving figure series).
-     * @return false with @p error set if @p j is not a v1 trace
-     */
-    static bool fromJson(const Json &j,
-                         std::vector<EpochTraceRecord> &out,
-                         std::string &error);
+/** Flat CSV of @p recs: header line + one row per epoch. */
+std::string epochTraceToCsv(const std::vector<EpochTraceRecord> &recs);
 
-  private:
-    std::vector<EpochTraceRecord> recs;
-};
+/**
+ * Rebuild records from an epochTraceToJson() document (round-trip
+ * tests and external consumers re-deriving figure series).
+ * @return false with @p error set if @p j is not a v1 trace
+ */
+bool epochTraceFromJson(const Json &j, std::vector<EpochTraceRecord> &out,
+                        std::string &error);
 
 } // namespace smthill
 

@@ -18,13 +18,12 @@ MachineArena::acquire(int worker, const SmtCpu &checkpoint)
                   workers(), ")"));
     std::unique_ptr<SmtCpu> &m = machines[static_cast<std::size_t>(worker)];
     if (!m) {
-        // First trial on this worker: clone (the event-trace link is
-        // already dropped by copy), then detach observation exactly
-        // as restoreFrom would — trials never observe.
+        // First trial on this worker: clone (both event-trace links
+        // are already dropped by copy), then detach observation
+        // exactly as restoreFrom would — trials never observe.
         // First-touch warm-up: one clone per worker for the arena's
         // lifetime; every later trial reuses it via restoreFrom.
         m = std::make_unique<SmtCpu>(checkpoint); // smthill-lint: allow(hot-path-allocation)
-        m->setTracer(nullptr);
         m->setBranchObserver(nullptr, nullptr);
         m->setLoadObserver(nullptr, nullptr);
         return *m;

@@ -38,8 +38,9 @@ class MachineArena
      * @return worker @p worker's machine, restored to @p checkpoint.
      * The first use on a worker clones the checkpoint (allocating);
      * every later use restores into the warm machine. The returned
-     * machine is unobserved (restoreFrom drops tracer/observers) and
-     * remains valid until the next acquire on the same worker.
+     * machine is unobserved (restoreFrom drops trace links and
+     * observers) and remains valid until the next acquire on the
+     * same worker.
      */
     SmtCpu &acquire(int worker, const SmtCpu &checkpoint);
 

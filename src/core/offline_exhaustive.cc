@@ -33,12 +33,11 @@ runFixedPartitionEpoch(const SmtCpu &checkpoint, const Partition &partition,
     // MachineArena restore deliberately drops.
     SmtCpu trial = checkpoint; // smthill-lint: allow(cpu-copy-hot-path)
     if (!advanced) {
-        // Machine copies share the checkpoint's tracer/observer
-        // pointers, which are not thread-safe; pure trial epochs may
-        // run concurrently, so they run unobserved. The committing
-        // run (advanced != nullptr) is always serial and keeps them,
-        // so the machine handed back retains its attachments.
-        trial.setTracer(nullptr);
+        // Machine copies share the checkpoint's observer pointers,
+        // which are not thread-safe; pure trial epochs may run
+        // concurrently, so they run unobserved. The committing run
+        // (advanced != nullptr) is always serial and keeps them, so
+        // the machine handed back retains its observers.
         trial.setBranchObserver(nullptr, nullptr);
         trial.setLoadObserver(nullptr, nullptr);
     }

@@ -120,9 +120,8 @@ SmtCpu::restoreFrom(const SmtCpu &checkpoint)
     // Plain member-wise assignment is the whole restore: vector
     // assignment writes into existing storage when capacity suffices,
     // so a warm machine of the same shape takes zero allocations.
-    // EventTraceRef's assignment drops the trace link by design.
+    // EventTraceRef's assignment drops both trace links by design.
     *this = checkpoint;
-    tracer = nullptr;
     branchObserver = nullptr;
     branchObserverCtx = nullptr;
     loadObserver = nullptr;
@@ -211,6 +210,43 @@ SmtCpu::stallUntil(Cycle until)
 }
 
 void
+SmtCpu::recordInst(InstEvent stage, ThreadId tid, const Slot &slot)
+{
+    EventTrace &trace = *instRef.trace;
+    int track = static_cast<int>(tid);
+    Json args = Json::object();
+    args.set("seq", slot.seq);
+    args.set("pc", slot.si.pc);
+    args.set("op", opClassName(slot.si.op));
+    switch (stage) {
+      case InstEvent::Fetch:
+        trace.instant(curCycle, instRef.pid, track, "inst", "inst.fetch",
+                      std::move(args));
+        return;
+      case InstEvent::Dispatch:
+        trace.instant(curCycle, instRef.pid, track, "inst",
+                      "inst.dispatch", std::move(args));
+        return;
+      case InstEvent::Issue:
+        trace.instant(curCycle, instRef.pid, track, "inst", "inst.issue",
+                      std::move(args));
+        return;
+      case InstEvent::Complete:
+        trace.instant(curCycle, instRef.pid, track, "inst",
+                      "inst.complete", std::move(args));
+        return;
+      case InstEvent::Commit:
+        trace.instant(curCycle, instRef.pid, track, "inst", "inst.commit",
+                      std::move(args));
+        return;
+      case InstEvent::Squash:
+        trace.instant(curCycle, instRef.pid, track, "inst", "inst.squash",
+                      std::move(args));
+        return;
+    }
+}
+
+void
 SmtCpu::setBranchObserver(BranchObserver fn, void *ctx)
 {
     branchObserver = fn;
@@ -289,7 +325,8 @@ SmtCpu::doCommit()
                                    blocks[s.si.blockId].length};
                 branchObserver(branchObserverCtx, cb);
             }
-            trace(TraceStage::Commit, tid, s);
+            if (instRef.trace)
+                recordInst(InstEvent::Commit, tid, s);
             releaseResources(tid, s);
             s.state = SlotFree;
             ++statCounters.committed[tid];
@@ -358,7 +395,8 @@ SmtCpu::complete(ThreadId tid, std::uint32_t slot_idx)
     ThreadState &t = threads[tid];
     Slot &s = t.ring[slot_idx];
     s.state = SlotCompleted;
-    trace(TraceStage::Complete, tid, s);
+    if (instRef.trace)
+        recordInst(InstEvent::Complete, tid, s);
 
     // Wake register-dependent instructions.
     for (const DepRef &dep : s.dependents) {
@@ -515,7 +553,8 @@ SmtCpu::doIssue()
         }
 
         s.state = SlotIssued;
-        trace(TraceStage::Issue, tid, s);
+        if (instRef.trace)
+            recordInst(InstEvent::Issue, tid, s);
         s.completeCycle = curCycle + std::max<Cycle>(1, lat);
         // The completion heap is bounded by issued-but-uncompleted
         // instructions; its backing storage stabilizes after warm-up.
@@ -624,7 +663,8 @@ SmtCpu::dispatchOne(ThreadId tid)
     }
 
     s.state = SlotDispatched;
-    trace(TraceStage::Dispatch, tid, s);
+    if (instRef.trace)
+        recordInst(InstEvent::Dispatch, tid, s);
     linkDependences(tid, seq, s);
     ++t.dispatchSeq;
     if (loadObserver && op == OpClass::Load) {
@@ -775,7 +815,8 @@ SmtCpu::doFetch()
             ++occ.ifq[tid];
             ++occT.ifq;
             ++statCounters.fetched[tid];
-            trace(TraceStage::Fetch, tid, s);
+            if (instRef.trace)
+                recordInst(InstEvent::Fetch, tid, s);
             ++t.fetchSeq;
             ++fetched;
 
@@ -821,7 +862,8 @@ SmtCpu::squashFrom(ThreadId tid, InstSeq start)
             --occ.ifq[tid];
             --occT.ifq;
         }
-        trace(TraceStage::Squash, tid, s);
+        if (instRef.trace)
+            recordInst(InstEvent::Squash, tid, s);
         releaseResources(tid, s);
         s.state = SlotFree;
         ++s.genId;

@@ -34,7 +34,6 @@
 #include "memory/hierarchy.hh"
 #include "pipeline/resources.hh"
 #include "pipeline/smt_config.hh"
-#include "pipeline/tracer.hh"
 #include "trace/instruction.hh"
 #include "trace/stream_generator.hh"
 
@@ -105,10 +104,10 @@ class SmtCpu
      * dependence vectors, cache arrays) instead of making fresh ones —
      * the cheap path trial sweeps restore through instead of
      * copy-constructing an SmtCpu per trial. The restored machine
-     * runs unobserved: tracer, branch/load observers, and the event
-     * trace link are all dropped, because trials replay concurrently
-     * and observation belongs to the committing machine (same
-     * semantics as runFixedPartitionEpoch's trial path).
+     * runs unobserved: branch/load observers and both event-trace
+     * links (setEventTrace, setInstTrace) are dropped, because trials
+     * replay concurrently and observation belongs to the committing
+     * machine (same semantics as runFixedPartitionEpoch's trial path).
      */
     void restoreFrom(const SmtCpu &checkpoint);
 
@@ -227,11 +226,20 @@ class SmtCpu
     void setLoadObserver(LoadObserver fn, void *ctx);
 
     /**
-     * Attach a pipeline tracer (nullptr detaches). The tracer is a
-     * debugging aid owned by the caller; it is NOT checkpointed, and
-     * machine copies share the same tracer pointer.
+     * Attach a per-instruction event trace (nullptr detaches): every
+     * stage an instruction passes records an `inst.fetch|dispatch|
+     * issue|complete|commit|squash` event (category `inst`) on its
+     * hardware thread's track, with args {seq, pc, op}. A debugging
+     * aid: the stream is dense, so give the trace a small ring. Like
+     * setEventTrace the link is not checkpointed: a copy, restoreFrom
+     * and MachineArena::acquire all drop it.
      */
-    void setTracer(PipelineTracer *t) { tracer = t; }
+    void
+    setInstTrace(EventTrace *t, int pid)
+    {
+        instRef.trace = t;
+        instRef.pid = t ? pid : 0;
+    }
 
     /**
      * Attach a cycle-level event trace (nullptr detaches). Owned by
@@ -423,18 +431,28 @@ class SmtCpu
     void *branchObserverCtx = nullptr;
     LoadObserver loadObserver = nullptr;
     void *loadObserverCtx = nullptr;
-    PipelineTracer *tracer = nullptr;
     EventTraceRef evtRef;   ///< cycle-level event trace; drops on copy
+    EventTraceRef instRef;  ///< per-instruction event trace; drops on copy
 
-    /** Record a pipeline trace event if a tracer is attached. */
-    void
-    trace(TraceStage stage, ThreadId tid, const Slot &slot)
+    /** The pipeline stages an `inst.*` event reports. */
+    enum class InstEvent : std::uint8_t
     {
-        if (tracer) {
-            tracer->record(TraceEvent{curCycle, slot.seq, slot.si.pc,
-                                      stage, tid, slot.si.op});
-        }
-    }
+        Fetch,
+        Dispatch,
+        Issue,
+        Complete,
+        Commit,
+        Squash
+    };
+
+    /**
+     * Record @p slot's `inst.*` event for @p stage; instRef must be
+     * attached. Cold and out of line so the stage loops keep only
+     * the pointer test.
+     */
+    [[gnu::cold, gnu::noinline]] void recordInst(InstEvent stage,
+                                                  ThreadId tid,
+                                                  const Slot &slot);
 };
 
 } // namespace smthill

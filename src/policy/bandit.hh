@@ -73,22 +73,11 @@ class BanditAllocator : public EpochLearner
     std::string name() const override;
     std::unique_ptr<ResourcePolicy> clone() const override;
 
-    const BanditConfig &banditConfig() const { return bcfg; }
-
     /** @return the current arm lattice (rebuilt on churn). */
     const std::vector<Partition> &arms() const { return armSet; }
 
     /** @return the arm installed for the running epoch, or -1. */
     int currentArm() const { return armInFlight; }
-
-    /** @return pulls of @p arm since the last lattice (re)build. */
-    std::uint64_t armPlays(int arm) const { return playCount[arm]; }
-
-    /** @return running mean reward of @p arm (UCB1 statistic). */
-    double armMean(int arm) const { return meanReward[arm]; }
-
-    /** @return exponential weight of @p arm (EXP3 statistic). */
-    double armWeight(int arm) const { return weight[arm]; }
 
     /** @return total pulls since the last lattice (re)build. */
     std::uint64_t pulls() const { return totalPlays; }

@@ -23,8 +23,6 @@
 namespace smthill
 {
 
-class EpochTracer;
-
 /** Abstract base for all resource-distribution mechanisms. */
 class ResourcePolicy
 {
@@ -66,21 +64,10 @@ class ResourcePolicy
     virtual std::unique_ptr<ResourcePolicy> clone() const = 0;
 
     /**
-     * Attach an epoch-trace observer (nullptr detaches). Owned by
-     * the caller; zero-cost when absent. Policies that learn
-     * (HillClimbing and descendants) record one EpochTraceRecord per
-     * epoch() call; monitor-only policies record nothing. Clones
-     * share the pointer, so detach it from trial copies that must
-     * not pollute the committing run's trace.
-     */
-    void setEpochTracer(EpochTracer *t) { epochTracerPtr = t; }
-
-    /** @return the attached tracer, or nullptr. */
-    EpochTracer *epochTracer() const { return epochTracerPtr; }
-
-    /**
      * Attach a cycle-level event trace (nullptr detaches). Owned by
-     * the caller; zero-cost when absent. Unlike the epoch tracer the
+     * the caller; zero-cost when absent. Learners (EpochLearner)
+     * record one `epoch` slice per epoch() call, carrying that
+     * epoch's EpochTraceRecord, plus their decision events. The
      * link is dropped on copy (EventTraceRef semantics): the trace
      * follows the committing run, never its clones, so synchronized
      * comparisons and trial copies cannot interleave events.
@@ -102,7 +89,6 @@ class ResourcePolicy
     int eventTracePid() const { return eventTraceRef.pid; }
 
   protected:
-    EpochTracer *epochTracerPtr = nullptr;
     EventTraceRef eventTraceRef;
 };
 

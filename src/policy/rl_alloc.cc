@@ -89,7 +89,6 @@ RlAllocator::selectAction(int state, int nt)
     // one chance() per decision, plus one nextBelow() on explore —
     // replays bit-identically.
     if (rng.chance(rcfg.epsilon)) {
-        ++exploreCount;
         rlExplores().inc();
         int na = numActive(nt);
         std::uint64_t pick = rng.nextBelow(
@@ -119,8 +118,6 @@ RlAllocator::restart(SmtCpu &)
         row.fill(0.0);
     lastState = -1;
     lastAction = -1;
-    exploreCount = 0;
-    moveCount = 0;
 }
 
 void
@@ -160,7 +157,6 @@ RlAllocator::learn(SmtCpu &cpu, const IpcSample &, double metric,
             step.anchorMoved = !(anchorPartition == before);
             step.gradientThread = action;
             if (step.anchorMoved) {
-                ++moveCount;
                 rlMoves().inc();
                 if (EventTrace *evt = eventTraceRef.trace) {
                     Json args = Json::object();

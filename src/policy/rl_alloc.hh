@@ -66,19 +66,11 @@ class RlAllocator : public EpochLearner
     std::string name() const override;
     std::unique_ptr<ResourcePolicy> clone() const override;
 
-    const RlConfig &rlConfig() const { return rcfg; }
-
     /** @return learned value of (@p state, @p action). */
     double qValue(int state, int action) const
     {
         return qTable[state][action];
     }
-
-    /** @return epsilon-draw explorations taken so far. */
-    std::uint64_t explorations() const { return exploreCount; }
-
-    /** @return actions that actually moved the anchor. */
-    std::uint64_t anchorMoves() const { return moveCount; }
 
   protected:
     void restart(SmtCpu &cpu) override;
@@ -105,8 +97,6 @@ class RlAllocator : public EpochLearner
         qTable{};
     int lastState = -1;
     int lastAction = -1;
-    std::uint64_t exploreCount = 0;
-    std::uint64_t moveCount = 0;
 };
 
 } // namespace smthill

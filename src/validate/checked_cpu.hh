@@ -62,9 +62,6 @@ class CheckedCpu
     InvariantChecker &checker() { return chk; }
     const InvariantChecker &checker() const { return chk; }
 
-    Cycle checkInterval() const { return interval; }
-    void setCheckInterval(Cycle every) { interval = every; }
-
   private:
     SmtCpu machine;
     InvariantChecker chk;

@@ -319,9 +319,9 @@ stageCheckedRun(const FuzzCase &c, FuzzResult &r, const SmtCpu &warm)
 
     HillClimbing *hill = nullptr;
     std::unique_ptr<ResourcePolicy> policy = makePolicy(c, &hill);
-    EpochTracer tracer;
+    EventTrace events;
     if (hill != nullptr)
-        policy->setEpochTracer(&tracer);
+        policy->setEventTrace(&events, 0);
 
     InvariantChecker::Options opts;
     opts.strictPartitionTotal = true; // every in-repo policy conserves
@@ -339,8 +339,10 @@ stageCheckedRun(const FuzzCase &c, FuzzResult &r, const SmtCpu &warm)
                       static_cast<std::uint64_t>(e));
         checked.checkNow();
     }
+    std::vector<EpochTraceRecord> records =
+        epochRecords(events.events(), 0);
     if (hill != nullptr)
-        checked.checker().checkEpochTrace(*hill, tracer);
+        checked.checker().checkEpochTrace(*hill, records);
     drainChecker(r, kStage, checked.checker());
 
     // MachineReport JSON round trip.
@@ -363,19 +365,19 @@ stageCheckedRun(const FuzzCase &c, FuzzResult &r, const SmtCpu &warm)
     }
 
     // Epoch-trace JSON round trip.
-    if (hill != nullptr && !tracer.empty()) {
-        std::string ttext = tracer.toJson(c.hill.metric).dump();
+    if (!records.empty()) {
+        std::string ttext = epochTraceToJson(records, c.hill.metric).dump();
         Json tparsed;
         if (!Json::parse(ttext, tparsed, err)) {
             finding(r, "C.json", "trace.parse", err);
         } else {
             std::vector<EpochTraceRecord> recs;
-            if (!EpochTracer::fromJson(tparsed, recs, err)) {
+            if (!epochTraceFromJson(tparsed, recs, err)) {
                 finding(r, "C.json", "trace.import", err);
-            } else if (!(recs == tracer.records())) {
+            } else if (!(recs == records)) {
                 finding(r, "C.json", "trace.round_trip",
                         msg("trace changed across toJson/fromJson (",
-                            recs.size(), " vs ", tracer.size(),
+                            recs.size(), " vs ", records.size(),
                             " records)"));
             }
         }
@@ -521,10 +523,6 @@ stagePhaseFreeDiff(const FuzzCase &c, FuzzResult &r)
 
     HillClimbing plain(c.hill);
     PhaseHillClimbing phased(c.hill);
-    EpochTracer ta;
-    EpochTracer tb;
-    plain.setEpochTracer(&ta);
-    phased.setEpochTracer(&tb);
     EventTrace eva;
     EventTrace evb;
     plain.setEventTrace(&eva, 0);
@@ -560,6 +558,8 @@ stagePhaseFreeDiff(const FuzzCase &c, FuzzResult &r)
     events_chk.checkEventStream(evb.events());
     drainChecker(r, kStage, events_chk);
 
+    std::vector<EpochTraceRecord> ta = epochRecords(eva.events(), 0);
+    std::vector<EpochTraceRecord> tb = epochRecords(evb.events(), 0);
     if (ta.size() != tb.size()) {
         finding(r, kStage, "trace_length",
                 msg("HILL traced ", ta.size(), " epochs, PHASE-HILL ",
@@ -567,8 +567,8 @@ stagePhaseFreeDiff(const FuzzCase &c, FuzzResult &r)
         return;
     }
     for (std::size_t e = 0; e < ta.size(); ++e) {
-        const EpochTraceRecord &ea = ta.records()[e];
-        const EpochTraceRecord &eb = tb.records()[e];
+        const EpochTraceRecord &ea = ta[e];
+        const EpochTraceRecord &eb = tb[e];
         if (!(ea.anchor == eb.anchor) || !(ea.trial == eb.trial)) {
             finding(r, kStage, "anchor_divergence",
                     msg("epoch ", e, ": HILL anchor ", ea.anchor.str(),
@@ -817,8 +817,6 @@ stageLearnerPairDiff(const FuzzCase &c, FuzzResult &r)
         const char *who = learnerName(pair[k]);
         std::unique_ptr<EpochLearner> p = makeLearner(c, pair[k]);
         std::unique_ptr<ResourcePolicy> q = p->clone();
-        EpochTracer tracer;
-        p->setEpochTracer(&tracer);
         EventTrace evt;
         p->setEventTrace(&evt, 0);
 
@@ -829,25 +827,27 @@ stageLearnerPairDiff(const FuzzCase &c, FuzzResult &r)
         RunResult rb =
             runPolicyOn(flat, *q, c.epochs, c.hill.epochSize);
         compareRuns(r, kStage, who, ra, rb, c.machine.numThreads);
+        std::vector<SimEvent> events = evt.events();
+        std::vector<EpochTraceRecord> records = epochRecords(events, 0);
         finalCycle[k] = ra.finalSnapshot.cycle;
-        traceLen[k] = tracer.size();
+        traceLen[k] = records.size();
 
         // The decision-audit event stream must be internally sane, and
         // the epoch trace must agree with the live learner.
         InvariantChecker chk;
-        chk.checkEventStream(evt.events());
-        chk.checkEpochTrace(*p, tracer);
+        chk.checkEventStream(events);
+        chk.checkEpochTrace(*p, records);
         drainChecker(r, kStage, chk);
 
         // Epoch-trace sanity: one record per boundary; any installed
         // partition conserves the register file; metrics are finite.
-        if (tracer.size() != static_cast<std::size_t>(c.epochs)) {
+        if (records.size() != static_cast<std::size_t>(c.epochs)) {
             finding(r, kStage, "trace_length",
-                    msg(who, " traced ", tracer.size(), " epochs of ",
+                    msg(who, " traced ", records.size(), " epochs of ",
                         c.epochs));
         }
-        for (std::size_t e = 0; e < tracer.size(); ++e) {
-            const EpochTraceRecord &rec = tracer.records()[e];
+        for (std::size_t e = 0; e < records.size(); ++e) {
+            const EpochTraceRecord &rec = records[e];
             if (rec.partitioned &&
                 rec.trial.total() != c.machine.intRegs) {
                 finding(r, kStage, "partition_conservation",

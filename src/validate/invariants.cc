@@ -316,11 +316,10 @@ InvariantChecker::checkCacheCounters(const MemoryHierarchy &memory)
 
 void
 InvariantChecker::checkEpochTrace(const EpochLearner &learner,
-                                  const EpochTracer &tracer)
+                                  const std::vector<EpochTraceRecord> &recs)
 {
-    if (tracer.empty())
+    if (recs.empty())
         return;
-    const auto &recs = tracer.records();
     const EpochTraceRecord &last = recs.back();
     if (!(last.anchor == learner.anchor())) {
         report("trace.anchor",

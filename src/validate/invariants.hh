@@ -159,13 +159,14 @@ class InvariantChecker
     void checkCacheCounters(const MemoryHierarchy &memory);
 
     /**
-     * Epoch-trace records agree with the live learner: the last
+     * Epoch-trace records (projected from the learner's event trace
+     * by epochRecords) agree with the live learner: the last
      * record's anchor and SingleIPC estimates equal the learner's
      * current state, epoch ids increase strictly, and measured
      * windows/IPCs are sane.
      */
     void checkEpochTrace(const EpochLearner &learner,
-                         const EpochTracer &tracer);
+                         const std::vector<EpochTraceRecord> &recs);
 
     /**
      * Cycle-level event-stream sanity (common/event_trace.hh): per

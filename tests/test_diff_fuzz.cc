@@ -78,13 +78,14 @@ TEST(FuzzRegression, TraceRoundTripWithSamplingEpochs)
     hc.samplePeriod = 1; // a solo-sampling epoch in every round
     hc.sampleSingleIpc = true;
     HillClimbing hill(hc);
-    EpochTracer tracer;
-    hill.setEpochTracer(&tracer);
+    EventTrace events;
+    hill.setEventTrace(&events, 0);
     runPolicyOn(std::move(cpu), hill, 8, hc.epochSize);
-    ASSERT_FALSE(tracer.empty());
+    std::vector<EpochTraceRecord> recs = epochRecords(events.events(), 0);
+    ASSERT_FALSE(recs.empty());
 
     bool saw_sampling_epoch = false;
-    for (const EpochTraceRecord &r : tracer.records())
+    for (const EpochTraceRecord &r : recs)
         saw_sampling_epoch |= !r.partitioned;
     ASSERT_TRUE(saw_sampling_epoch)
         << "samplePeriod=1 produced no solo epochs; regression "
@@ -93,12 +94,11 @@ TEST(FuzzRegression, TraceRoundTripWithSamplingEpochs)
     std::string err;
     Json parsed;
     ASSERT_TRUE(
-        Json::parse(tracer.toJson(hc.metric).dump(), parsed, err))
+        Json::parse(epochTraceToJson(recs, hc.metric).dump(), parsed, err))
         << err;
     std::vector<EpochTraceRecord> back;
-    ASSERT_TRUE(EpochTracer::fromJson(parsed, back, err)) << err;
-    EXPECT_EQ(back, tracer.records())
-        << "epoch trace does not round-trip through JSON";
+    ASSERT_TRUE(epochTraceFromJson(parsed, back, err)) << err;
+    EXPECT_EQ(back, recs) << "epoch trace does not round-trip through JSON";
 }
 
 // Regression: on nominally phase-free streams, cold-start BBV noise

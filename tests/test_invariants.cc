@@ -263,51 +263,45 @@ TEST(InvariantEpochTrace, CleanRunPassesCorruptedRecordsFire)
     hc.delta = 4;
     hc.minShare = 2;
     HillClimbing hill(hc);
-    EpochTracer tracer;
-    hill.setEpochTracer(&tracer);
+    EventTrace events;
+    hill.setEventTrace(&events, 0);
     runPolicyOn(std::move(cpu), hill, 5, hc.epochSize);
-    ASSERT_FALSE(tracer.empty());
+    std::vector<EpochTraceRecord> recs = epochRecords(events.events(), 0);
+    ASSERT_FALSE(recs.empty());
 
     InvariantChecker chk;
-    chk.checkEpochTrace(hill, tracer);
+    chk.checkEpochTrace(hill, recs);
     EXPECT_TRUE(chk.ok()) << chk.summary();
 
     // Stale anchor in the last record.
-    EpochTracer bad;
-    for (EpochTraceRecord r : tracer.records()) {
+    std::vector<EpochTraceRecord> bad = recs;
+    for (EpochTraceRecord &r : bad)
         r.anchor.share[0] += 1;
-        bad.record(r);
-    }
     chk.clear();
     chk.checkEpochTrace(hill, bad);
     EXPECT_TRUE(fired(chk, "trace.anchor")) << chk.summary();
 
     // SingleIPC estimates that disagree with the live learner.
-    bad.clear();
-    for (EpochTraceRecord r : tracer.records()) {
+    bad = recs;
+    for (EpochTraceRecord &r : bad)
         r.singleIpcEst[0] += 0.5;
-        bad.record(r);
-    }
     chk.clear();
     chk.checkEpochTrace(hill, bad);
     EXPECT_TRUE(fired(chk, "trace.single_ipc")) << chk.summary();
 
     // Duplicated epoch id.
-    bad.clear();
-    for (EpochTraceRecord r : tracer.records()) {
+    bad = recs;
+    for (EpochTraceRecord &r : bad)
         r.epochId = 3;
-        bad.record(r);
-    }
     chk.clear();
     chk.checkEpochTrace(hill, bad);
     EXPECT_TRUE(fired(chk, "trace.epoch_order")) << chk.summary();
 
     // Impossible measurement windows and IPCs.
-    bad.clear();
-    for (EpochTraceRecord r : tracer.records()) {
+    bad = recs;
+    for (EpochTraceRecord &r : bad) {
         r.elapsedCycles = 0;
         r.ipc[0] = std::nan("");
-        bad.record(r);
     }
     chk.clear();
     chk.checkEpochTrace(hill, bad);

@@ -2,7 +2,8 @@
  * @file
  * Tests for the observability layer and the measurement bugfixes it
  * made visible:
- *  - EpochTracer JSON/CSV export and round-trip;
+ *  - epoch-trace JSON/CSV export and round-trip, and the projection
+ *    of epoch records out of a learner's events.v1 epoch slices;
  *  - MachineReport JSON round-trip, the flushed-with-zero-commits
  *    reporting, and snapshot/report thread-range consistency;
  *  - hill-climbing epoch IPCs measured over actual elapsed cycles
@@ -81,16 +82,15 @@ sampleRecord(std::uint64_t id)
 
 TEST(EpochTracer, JsonRoundTripsEveryField)
 {
-    EpochTracer tracer;
-    tracer.record(sampleRecord(0));
+    std::vector<EpochTraceRecord> recs{sampleRecord(0)};
     EpochTraceRecord unpart = sampleRecord(1);
     unpart.partitioned = false;
     unpart.samplingThread = 0;
     unpart.gradientThread = -1;
     unpart.anchorMoved = false;
-    tracer.record(unpart);
+    recs.push_back(unpart);
 
-    Json j = tracer.toJson(PerfMetric::WeightedIpc);
+    Json j = epochTraceToJson(recs, PerfMetric::WeightedIpc);
     EXPECT_EQ(j.at("schema").asString(), "smthill.epoch-trace.v1");
     EXPECT_EQ(j.at("metric").asString(), "WIPC");
     EXPECT_EQ(j.at("num_threads").asInt(), 2);
@@ -103,10 +103,10 @@ TEST(EpochTracer, JsonRoundTripsEveryField)
     std::string error;
     ASSERT_TRUE(Json::parse(j.dump(2), reparsed, error)) << error;
     std::vector<EpochTraceRecord> back;
-    ASSERT_TRUE(EpochTracer::fromJson(reparsed, back, error)) << error;
-    ASSERT_EQ(back.size(), tracer.size());
+    ASSERT_TRUE(epochTraceFromJson(reparsed, back, error)) << error;
+    ASSERT_EQ(back.size(), recs.size());
     for (std::size_t i = 0; i < back.size(); ++i) {
-        const EpochTraceRecord &a = tracer.records()[i];
+        const EpochTraceRecord &a = recs[i];
         const EpochTraceRecord &b = back[i];
         EXPECT_EQ(b.epochId, a.epochId);
         EXPECT_EQ(b.cycle, a.cycle);
@@ -136,22 +136,43 @@ TEST(EpochTracer, RejectsForeignDocuments)
     j.set("schema", Json("smthill.report.v1"));
     std::vector<EpochTraceRecord> out;
     std::string error;
-    EXPECT_FALSE(EpochTracer::fromJson(j, out, error));
+    EXPECT_FALSE(epochTraceFromJson(j, out, error));
     EXPECT_FALSE(error.empty());
 }
 
 TEST(EpochTracer, CsvHasHeaderAndOneRowPerEpoch)
 {
-    EpochTracer tracer;
-    tracer.record(sampleRecord(0));
-    tracer.record(sampleRecord(1));
-    std::string csv = tracer.toCsv();
+    std::string csv = epochTraceToCsv({sampleRecord(0), sampleRecord(1)});
     std::size_t lines = 0;
     for (char c : csv)
         lines += c == '\n';
     EXPECT_EQ(lines, 3u) << "header + 2 rows";
     EXPECT_EQ(csv.substr(0, 6), "epoch,");
     EXPECT_NE(csv.find("single_ipc_est_1"), std::string::npos);
+}
+
+TEST(EpochTracer, RecordsProjectFromEpochSlicesOfOnePid)
+{
+    // Only `epoch` slices of the requested process carry records; the
+    // projection skips every other event and keeps stream order, and
+    // extra args (the learner's "kind") are ignored.
+    EventTrace trace;
+    Json args = epochRecordJson(sampleRecord(0));
+    args.set("kind", "learn");
+    trace.complete(100, 16184, 0, kControlTid, "epoch", "epoch", args);
+    trace.complete(100, 16184, 1, kControlTid, "epoch", "epoch",
+                   epochRecordJson(sampleRecord(7)));
+    trace.instant(116284, 0, kControlTid, "hill", "anchor.move");
+    trace.complete(116284, 200, 0, kControlTid, "machine", "stall");
+    trace.complete(116484, 16184, 0, kControlTid, "epoch", "epoch",
+                   epochRecordJson(sampleRecord(1)));
+
+    std::vector<EpochTraceRecord> recs = epochRecords(trace.events(), 0);
+    ASSERT_EQ(recs.size(), 2u);
+    EXPECT_EQ(recs[0], sampleRecord(0));
+    EXPECT_EQ(recs[1], sampleRecord(1));
+    ASSERT_EQ(epochRecords(trace.events(), 1).size(), 1u);
+    EXPECT_TRUE(epochRecords(trace.events(), 2).empty());
 }
 
 // ---------------------------------------------------------------
@@ -258,7 +279,7 @@ TEST(MachineReport, StalledCyclesCountedByCpu)
 }
 
 // ---------------------------------------------------------------
-// Hill-climbing measurement fixes, observed through the tracer.
+// Hill-climbing measurement fixes, observed through the epoch trace.
 
 HillConfig
 tracedConfig()
@@ -279,26 +300,28 @@ TEST(HillMeasurement, IpcUsesActualElapsedCycles)
     HillConfig hc = tracedConfig();
     hc.softwareCost = 4096; // a quarter of the epoch, unmissable
     HillClimbing hill(hc);
-    EpochTracer tracer;
-    hill.setEpochTracer(&tracer);
+    EventTrace events;
+    hill.setEventTrace(&events, 0);
     hill.attach(cpu);
     for (int e = 0; e < 3; ++e) {
         runOneEpoch(cpu, hill, hc.epochSize);
         hill.epoch(cpu, e);
     }
-    ASSERT_EQ(tracer.size(), 3u);
+    std::vector<EpochTraceRecord> recs =
+        epochRecords(events.events(), 0);
+    ASSERT_EQ(recs.size(), 3u);
     // First epoch after attach: no stall charged yet.
-    EXPECT_EQ(tracer.records()[0].elapsedCycles, hc.epochSize);
+    EXPECT_EQ(recs[0].elapsedCycles, hc.epochSize);
     // Every later epoch lost softwareCost cycles to the boundary
     // stall.
     for (std::size_t e = 1; e < 3; ++e)
-        EXPECT_EQ(tracer.records()[e].elapsedCycles,
+        EXPECT_EQ(recs[e].elapsedCycles,
                   hc.epochSize - hc.softwareCost)
             << "epoch " << e;
     // And the IPCs are measured over that shorter window: with a
     // quarter of the epoch stalled, dividing the same commits by the
     // nominal size would understate IPC by exactly 25%.
-    const EpochTraceRecord &r = tracer.records()[1];
+    const EpochTraceRecord &r = recs[1];
     EXPECT_GT(r.ipc[0] + r.ipc[1], 0.0);
 }
 
@@ -311,14 +334,16 @@ TEST(HillMeasurement, ElapsedConsistentAcrossEpochSizes)
     HillConfig hc = tracedConfig();
     hc.softwareCost = 0;
     HillClimbing hill(hc);
-    EpochTracer tracer;
-    hill.setEpochTracer(&tracer);
+    EventTrace events;
+    hill.setEventTrace(&events, 0);
     hill.attach(cpu);
     Cycle actual = 2 * hc.epochSize;
     runOneEpoch(cpu, hill, actual);
     hill.epoch(cpu, 0);
-    ASSERT_EQ(tracer.size(), 1u);
-    EXPECT_EQ(tracer.records()[0].elapsedCycles, actual)
+    std::vector<EpochTraceRecord> recs =
+        epochRecords(events.events(), 0);
+    ASSERT_EQ(recs.size(), 1u);
+    EXPECT_EQ(recs[0].elapsedCycles, actual)
         << "measurement window must follow the machine, not the config";
 }
 
@@ -333,8 +358,8 @@ TEST(HillBootstrap, SamplesEveryThreadBeforeLearning)
     hc.sampleSingleIpc = true;
     hc.samplePeriod = 40;
     HillClimbing hill(hc);
-    EpochTracer tracer;
-    hill.setEpochTracer(&tracer);
+    EventTrace events;
+    hill.setEventTrace(&events, 0);
     hill.attach(cpu);
 
     EXPECT_TRUE(hill.bootstrapping());
@@ -362,10 +387,12 @@ TEST(HillBootstrap, SamplesEveryThreadBeforeLearning)
         << "no anchor moves before estimates exist";
 
     // The trace labels the bootstrap epochs as sampling epochs.
-    ASSERT_EQ(tracer.size(), 2u);
-    EXPECT_EQ(tracer.records()[0].samplingThread, 0);
-    EXPECT_EQ(tracer.records()[1].samplingThread, 1);
-    for (const EpochTraceRecord &r : tracer.records())
+    std::vector<EpochTraceRecord> recs =
+        epochRecords(events.events(), 0);
+    ASSERT_EQ(recs.size(), 2u);
+    EXPECT_EQ(recs[0].samplingThread, 0);
+    EXPECT_EQ(recs[1].samplingThread, 1);
+    for (const EpochTraceRecord &r : recs)
         EXPECT_FALSE(r.partitioned);
 }
 
@@ -386,15 +413,17 @@ TEST(HillBootstrap, EstimatesExposedInTrace)
     hc.metric = PerfMetric::WeightedIpc;
     hc.sampleSingleIpc = true;
     HillClimbing hill(hc);
-    EpochTracer tracer;
-    hill.setEpochTracer(&tracer);
+    EventTrace events;
+    hill.setEventTrace(&events, 0);
     hill.attach(cpu);
     for (int e = 0; e < 3; ++e) {
         runOneEpoch(cpu, hill, hc.epochSize);
         hill.epoch(cpu, e);
     }
     // The first post-bootstrap record carries both estimates.
-    const EpochTraceRecord &r = tracer.records()[2];
+    std::vector<EpochTraceRecord> recs =
+        epochRecords(events.events(), 0);
+    const EpochTraceRecord &r = recs[2];
     EXPECT_GT(r.singleIpcEst[0], 0.0);
     EXPECT_GT(r.singleIpcEst[1], 0.0);
 }

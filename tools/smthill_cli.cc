@@ -56,6 +56,7 @@
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -449,24 +450,26 @@ main(int argc, char **argv)
 
     auto solo = soloIpcs(workload, rc, solo_epochs * rc.epochSize);
 
+    // trace=N: the machine's per-instruction events into an N-event
+    // ring, so the newest N survive the run.
     SmtCpu cpu = makeCpu(workload, rc);
-    PipelineTracer tracer(trace_events > 0
+    EventTrace inst_trace(trace_events > 0
                               ? static_cast<std::size_t>(trace_events)
                               : 1);
     if (trace_events > 0)
-        cpu.setTracer(&tracer);
-
-    // Learning policies record their epoch-by-epoch state into the
-    // tracer; non-learning policies leave it empty and a generic
-    // trace is synthesized from the runner's per-epoch records below.
-    EpochTracer epoch_tracer;
-    if (!epoch_trace.empty())
-        policy->setEpochTracer(&epoch_tracer);
+        cpu.setInstTrace(&inst_trace, 0);
 
     // Cycle-level event trace: the run files under process 0, with
     // one named track per hardware thread plus the control track.
+    // It is also the source of the epoch trace: learning policies
+    // put each epoch's record in their epoch slices, and a JSONL
+    // copy of every event keeps the projection complete however
+    // small the ring. Non-learning policies record no epoch slices;
+    // their epoch trace is synthesized from the runner's per-epoch
+    // records below.
     EventTrace event_tracer;
-    if (!event_trace.empty()) {
+    std::stringstream epoch_source;
+    if (!event_trace.empty() || !epoch_trace.empty()) {
         event_tracer.processName(0, workload.name + " / " +
                                         policy->name());
         for (int i = 0; i < workload.numThreads(); ++i)
@@ -474,6 +477,8 @@ main(int argc, char **argv)
         event_tracer.threadName(0, kControlTid, "control");
         policy->setEventTrace(&event_tracer, 0);
     }
+    if (!epoch_trace.empty())
+        event_tracer.streamTo(&epoch_source);
 
     // Per-epoch stat snapshots: the observer samples the process-wide
     // registry after every policy.epoch() hook, stamped with the
@@ -507,7 +512,12 @@ main(int argc, char **argv)
 
     PerfMetric metric = policyMetric(policy_name);
     if (!epoch_trace.empty()) {
-        if (epoch_tracer.empty()) {
+        event_tracer.streamTo(nullptr);
+        std::vector<SimEvent> events;
+        if (!EventTrace::fromJsonlText(epoch_source.str(), events, error))
+            fatal(msg("epoch trace: ", error));
+        std::vector<EpochTraceRecord> records = epochRecords(events, 0);
+        if (records.empty()) {
             for (std::size_t e = 0; e < res.epochs.size(); ++e) {
                 const EpochRecord &er = res.epochs[e];
                 EpochTraceRecord r;
@@ -521,15 +531,15 @@ main(int argc, char **argv)
                 r.partitioned = er.partitioned;
                 r.trial = er.partition;
                 r.anchor = er.partition;
-                epoch_tracer.record(std::move(r));
+                records.push_back(std::move(r));
             }
         }
         bool as_csv = epoch_trace.size() >= 4 &&
                       epoch_trace.compare(epoch_trace.size() - 4, 4,
                                           ".csv") == 0;
         writeTextFile(epoch_trace,
-                      as_csv ? epoch_tracer.toCsv()
-                             : epoch_tracer.toJson(metric).dump(2) +
+                      as_csv ? epochTraceToCsv(records)
+                             : epochTraceToJson(records, metric).dump(2) +
                                    "\n");
     }
 
@@ -612,8 +622,9 @@ main(int argc, char **argv)
     res.report(workload.benchmarks).print();
 
     if (trace_events > 0) {
-        std::printf("\nlast %zu pipeline events:\n", tracer.size());
-        tracer.dump(stdout);
+        std::printf("\nlast %zu pipeline events:\n", inst_trace.size());
+        for (const SimEvent &e : inst_trace.events())
+            std::printf("%s\n", eventSummary(e).c_str());
     }
     exportProfile(profile_json);
     return 0;

@@ -50,7 +50,9 @@ const char *const kKnownEventNames[] = {
     "anchor.move",       "arm.pull",        "best.partition",
     "churn.attach",      "churn.detach",    "classify",
     "context.idle",      "context.reset",   "epoch",
-    "flush",             "job.arrive",      "job.attach",
+    "flush",             "inst.commit",     "inst.complete",
+    "inst.dispatch",     "inst.fetch",      "inst.issue",
+    "inst.squash",       "job.arrive",      "job.attach",
     "job.depart",        "partition.clear", "reuse.decision",
     "round",             "sample.begin",    "share.t*",
     "single_ipc.update", "stall",           "thread.enabled",
