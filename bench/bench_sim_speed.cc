@@ -9,8 +9,8 @@
  * SMTHILL_STATS_JSON=FILE writes the run results as a
  * `smthill.bench.sim-speed.v1` document: one entry per benchmark with
  * iterations, per-iteration real/cpu time (ns), items/sec, and — for
- * the BM_CoreCycles* family, where one item is one simulated cycle —
- * the headline kcycles/sec figure. The committed baseline lives at
+ * the BM_CoreCycles* (step()) and BM_CoreRun (run()) families, where
+ * one item is one simulated cycle — the headline kcycles/sec figure. The committed baseline lives at
  * bench/BENCH_sim_speed.json; regenerate it with
  *   SMTHILL_STATS_JSON=bench/BENCH_sim_speed.json ./bench_sim_speed
  * and compare kcycles/sec before accepting a change that touches the
@@ -60,6 +60,26 @@ BM_CoreCycles(benchmark::State &state,
     for (auto _ : state)
         cpu.step();
     state.SetItemsProcessed(state.iterations());
+    state.counters["ipc"] = benchmark::Counter(
+        static_cast<double>(cpu.stats().committedTotal()) /
+        static_cast<double>(cpu.now()));
+}
+
+/**
+ * The same machines driven through SmtCpu::run(), which jumps over
+ * quiet cycles; BM_CoreCycles stays on step() as the per-cycle
+ * reference. One item is one simulated cycle, so the ratio of the two
+ * families' cycles/sec is the fast-forward speedup per workload class.
+ */
+void
+BM_CoreRun(benchmark::State &state, const std::vector<std::string> &benches)
+{
+    constexpr Cycle kWindow = 64 * 1024;
+    SmtCpu cpu = machineFor(benches);
+    for (auto _ : state)
+        cpu.run(kWindow);
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(kWindow));
     state.counters["ipc"] = benchmark::Counter(
         static_cast<double>(cpu.stats().committedTotal()) /
         static_cast<double>(cpu.now()));
@@ -248,7 +268,8 @@ exportResults(const std::vector<CaptureReporter::Run> &runs,
             double per_sec = ips->second;
             entry.set("items_per_sec", Json(per_sec));
             // One item of a core-cycle bench is one simulated cycle.
-            if (name.rfind("BM_CoreCycles", 0) == 0)
+            if (name.rfind("BM_CoreCycles", 0) == 0 ||
+                name.rfind("BM_CoreRun", 0) == 0)
                 entry.set("kcycles_per_sec", Json(per_sec / 1e3));
         }
         auto jobs_it = r.counters.find("jobs");
@@ -275,6 +296,11 @@ BENCHMARK_CAPTURE(BM_CoreCycles, solo_ilp,
 BENCHMARK_CAPTURE(BM_CoreCycles, smt2_mem,
                   std::vector<std::string>{"art", "mcf"});
 BENCHMARK_CAPTURE(BM_CoreCycles, smt4_mix,
+                  std::vector<std::string>{"art", "mcf", "fma3d", "gcc"});
+BENCHMARK_CAPTURE(BM_CoreRun, solo_ilp, std::vector<std::string>{"bzip2"});
+BENCHMARK_CAPTURE(BM_CoreRun, smt2_mem,
+                  std::vector<std::string>{"art", "mcf"});
+BENCHMARK_CAPTURE(BM_CoreRun, smt4_mix,
                   std::vector<std::string>{"art", "mcf", "fma3d", "gcc"});
 BENCHMARK(BM_CoreCycles_EventTrace);
 BENCHMARK(BM_Checkpoint);

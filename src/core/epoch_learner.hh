@@ -47,6 +47,9 @@ class EpochLearner : public ResourcePolicy
     void threadAttached(SmtCpu &cpu, ThreadId tid) final;
     void threadDetached(SmtCpu &cpu, ThreadId tid) final;
 
+    /** Learners act only at epoch boundaries: no per-cycle hook. */
+    bool perCycle() const override { return false; }
+
     /** @return the current anchor (the partition learning builds on). */
     const Partition &anchor() const { return anchorPartition; }
 

@@ -32,6 +32,8 @@ struct MachineSnapshot
 
     /** Capture the current counters of @p cpu. */
     static MachineSnapshot capture(const SmtCpu &cpu);
+
+    bool operator==(const MachineSnapshot &) const = default;
 };
 
 /** Derived per-thread rates over an interval. */

@@ -132,9 +132,13 @@ runOneEpoch(SmtCpu &cpu, ResourcePolicy &policy, Cycle epoch_size)
 {
     SMTHILL_PROF_SCOPE("runner.epoch");
     auto before = cpu.stats().committed;
-    for (Cycle c = 0; c < epoch_size; ++c) {
-        policy.cycle(cpu);
-        cpu.step();
+    if (policy.perCycle()) {
+        for (Cycle c = 0; c < epoch_size; ++c) {
+            policy.cycle(cpu);
+            cpu.step();
+        }
+    } else {
+        cpu.run(epoch_size);
     }
     IpcSample s;
     s.numThreads = cpu.numThreads();

@@ -109,7 +109,9 @@ RunResult runPolicyOn(SmtCpu cpu, ResourcePolicy &policy, int epochs,
 
 /**
  * Advance @p cpu by exactly one epoch under @p policy (cycle hooks
- * only; no epoch() callback). @return per-thread IPCs of the epoch.
+ * only; no epoch() callback): cycle() before every step() when
+ * policy.perCycle(), otherwise one SmtCpu::run(@p epoch_size).
+ * @return per-thread IPCs of the epoch.
  */
 IpcSample runOneEpoch(SmtCpu &cpu, ResourcePolicy &policy,
                       Cycle epoch_size);

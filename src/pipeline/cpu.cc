@@ -4,6 +4,7 @@
 
 #include "common/log.hh"
 #include "common/profile.hh"
+#include "common/stat_registry.hh"
 
 namespace smthill
 {
@@ -291,8 +292,97 @@ SmtCpu::run(Cycle n)
     // One span per batch, never per cycle: step() stays scope-free so
     // the profiler costs nothing measurable on the core loop.
     SMTHILL_PROF_SCOPE("cpu.run");
-    for (Cycle i = 0; i < n; ++i)
-        step();
+    static StatCounter &skipped_stat =
+        globalStats().counter("smthill.cpu.skipped_cycles");
+    const Cycle end = curCycle + n;
+    Cycle skipped = 0;
+    while (curCycle < end) {
+        std::uint32_t locked = 0;
+        const Cycle wake = quietUntil(end, locked);
+        if (wake == curCycle) {
+            step();
+            continue;
+        }
+        skipped += wake - curCycle;
+        skipQuiet(wake, locked);
+    }
+    if (skipped != 0)
+        skipped_stat.add(skipped);
+}
+
+Cycle
+SmtCpu::quietUntil(Cycle end, std::uint32_t &locked) const
+{
+    const bool stalled = curCycle < stalledUntil;
+    // Cheapest disqualifier first: on a busy machine the ready list
+    // is almost never empty. A stall never issues, so there only the
+    // completions below count.
+    if (!stalled && !readyList.empty())
+        return curCycle;
+    Cycle wake = end;
+    if (!events.empty()) {
+        if (events.top().at <= curCycle)
+            return curCycle;
+        wake = std::min(wake, events.top().at);
+    }
+    if (stalled)
+        return std::min(wake, stalledUntil); // a stall only drains
+
+    const int nt = cfg.numThreads;
+    for (int i = 0; i < nt; ++i) {
+        const ThreadState &t = threads[i];
+        if (t.commitSeq < t.dispatchSeq &&
+            t.ring[t.commitSeq & ringMask].state == SlotCompleted)
+            return curCycle;
+        if (t.dispatchSeq < t.fetchSeq &&
+            dispatchFits(static_cast<ThreadId>(i),
+                         t.ring[t.dispatchSeq & ringMask].si.op))
+            return curCycle;
+    }
+
+    // doFetch's ICOUNT walk with nothing fetched yet: a thread that
+    // passes every gate would reach the I-cache, so the cycle is live.
+    std::array<ThreadId, kMaxThreads> order;
+    fetchOrder(order);
+    for (int oi = 0; oi < nt; ++oi) {
+        ThreadId tid = order[oi];
+        if (!canFetch(threads[tid]))
+            continue;
+        if (partitionBlocked(tid)) {
+            locked |= 1u << tid;
+            continue;
+        }
+        if (ifqFull())
+            break;
+        return curCycle;
+    }
+
+    // Occupancy cannot change until a completion, so the only other
+    // wake-up is an eligible thread's fetch gate reopening.
+    for (const ThreadState &t : threads) {
+        if (fetchEligible(t) && t.fetchReadyAt > curCycle)
+            wake = std::min(wake, t.fetchReadyAt);
+    }
+    return wake;
+}
+
+void
+SmtCpu::skipQuiet(Cycle wake, std::uint32_t locked)
+{
+    const Cycle k = wake - curCycle;
+    if (curCycle < stalledUntil) {
+        statCounters.stalledCycles += k;
+    } else {
+        const auto nt = static_cast<std::uint32_t>(cfg.numThreads);
+        const auto turn = static_cast<std::uint32_t>(k % nt);
+        rrCommit = (rrCommit + turn) % nt;
+        rrDispatch = (rrDispatch + turn) % nt;
+        for (std::uint32_t tid = 0; tid < nt; ++tid) {
+            if (locked & (1u << tid))
+                statCounters.partitionLockCycles[tid] += k;
+        }
+    }
+    curCycle = wake;
 }
 
 // --------------------------------------------------------------------
@@ -596,13 +686,8 @@ SmtCpu::doDispatch()
 }
 
 bool
-SmtCpu::dispatchOne(ThreadId tid)
+SmtCpu::dispatchFits(ThreadId tid, OpClass op) const
 {
-    ThreadState &t = threads[tid];
-    InstSeq seq = t.dispatchSeq;
-    Slot &s = slotOf(t, seq);
-    const OpClass op = s.si.op;
-
     // Shared-capacity checks, against the running totals.
     if (occT.rob >= cfg.robSize)
         return false;
@@ -612,10 +697,9 @@ SmtCpu::dispatchOne(ThreadId tid)
     if (!int_iq && occT.fpIq >= cfg.fpIqSize)
         return false;
     bool int_reg = writesIntReg(op);
-    bool fp_reg = writesFpReg(op);
     if (int_reg && occT.intRegs >= cfg.intRegs)
         return false;
-    if (fp_reg && occT.fpRegs >= cfg.fpRegs)
+    if (writesFpReg(op) && occT.fpRegs >= cfg.fpRegs)
         return false;
     if (isMemOp(op) && occT.lsq >= cfg.lsqSize)
         return false;
@@ -630,6 +714,21 @@ SmtCpu::dispatchOne(ThreadId tid)
         if (int_reg && occ.intRegs[tid] >= limits.intRegs[tid])
             return false;
     }
+    return true;
+}
+
+bool
+SmtCpu::dispatchOne(ThreadId tid)
+{
+    ThreadState &t = threads[tid];
+    InstSeq seq = t.dispatchSeq;
+    Slot &s = slotOf(t, seq);
+    const OpClass op = s.si.op;
+    if (!dispatchFits(tid, op))
+        return false;
+    const bool int_iq = usesIntIq(op);
+    const bool int_reg = writesIntReg(op);
+    const bool fp_reg = writesFpReg(op);
 
     // Allocate.
     occ.ifq[tid] -= 1;
@@ -732,10 +831,15 @@ SmtCpu::fetchOrder(std::array<ThreadId, kMaxThreads> &order) const
 }
 
 bool
-SmtCpu::canFetch(const ThreadState &t, ThreadId) const
+SmtCpu::fetchEligible(const ThreadState &t) const
 {
-    return t.enabled && !t.policyLocked && t.blockingBranch == kNoSeq &&
-           t.fetchReadyAt <= curCycle;
+    return t.enabled && !t.policyLocked && t.blockingBranch == kNoSeq;
+}
+
+bool
+SmtCpu::canFetch(const ThreadState &t) const
+{
+    return fetchEligible(t) && t.fetchReadyAt <= curCycle;
 }
 
 bool
@@ -778,13 +882,13 @@ SmtCpu::doFetch()
             break;
         ThreadId tid = order[oi];
         ThreadState &t = threads[tid];
-        if (!canFetch(t, tid))
+        if (!canFetch(t))
             continue;
         if (partitionBlocked(tid)) {
             ++statCounters.partitionLockCycles[tid];
             continue;
         }
-        if (occT.ifq >= cfg.ifqSize)
+        if (ifqFull())
             break;
 
         // One I-cache access per fetch group.
@@ -798,7 +902,7 @@ SmtCpu::doFetch()
         ++threads_used;
 
         while (fetched < cfg.fetchWidth) {
-            if (occT.ifq >= cfg.ifqSize)
+            if (ifqFull())
                 break;
             if (partitionBlocked(tid))
                 break;

@@ -52,6 +52,8 @@ struct CpuStats
     std::array<std::uint64_t, kMaxThreads> partitionLockCycles{};
     std::uint64_t stalledCycles = 0; ///< cycles frozen by stallUntil()
     std::uint64_t committedTotal() const;
+
+    bool operator==(const CpuStats &) const = default;
 };
 
 /** An in-flight load that missed the DL1 (policy monitors). */
@@ -111,10 +113,26 @@ class SmtCpu
      */
     void restoreFrom(const SmtCpu &checkpoint);
 
-    /** Advance the machine by one cycle. */
+    /**
+     * Advance the machine by one cycle. The one-cycle reference:
+     * run() must leave the machine exactly as n step() calls would.
+     */
     void step();
 
-    /** Advance the machine by @p n cycles. */
+    /**
+     * Advance the machine by @p n cycles; afterwards now() has grown
+     * by exactly @p n and every piece of simulated state — pipeline,
+     * caches, predictors, generators, CpuStats, occupancy — equals
+     * what n step() calls produce. Cycles in which no stage can act
+     * (empty ready list, no completion due, no completed ROB head, no
+     * dispatchable IFQ head, and an ICOUNT fetch walk that reaches no
+     * I-cache access) are skipped in one jump to the earliest wake-up
+     * (next completion, a fetch gate reopening, the end of a stall,
+     * or the end of the window); the counters those quiet cycles
+     * still move (round-robin pointers, partitionLockCycles,
+     * stalledCycles) are bulk-updated. The skipped cycles add to the
+     * global `smthill.cpu.skipped_cycles` counter once per call.
+     */
     void run(Cycle n);
 
     /** @return current simulated cycle. */
@@ -361,11 +379,44 @@ class SmtCpu
     /** Order threads by ascending front-end count (ICOUNT). */
     void fetchOrder(std::array<ThreadId, kMaxThreads> &order) const;
 
-    /** @return true if @p tid may fetch this cycle. */
-    bool canFetch(const ThreadState &t, ThreadId tid) const;
+    /**
+     * @return true if @p t is enabled, not policy-locked, and not
+     * waiting on a mispredicted branch: it fetches once its
+     * fetchReadyAt gate opens.
+     */
+    bool fetchEligible(const ThreadState &t) const;
+
+    /** @return true if @p t may fetch this cycle. */
+    bool canFetch(const ThreadState &t) const;
 
     /** @return true if @p tid is at a partition limit (fetch gate). */
     bool partitionBlocked(ThreadId tid) const;
+
+    /** @return true if the shared IFQ is full (fetch walk stops). */
+    bool ifqFull() const { return occT.ifq >= cfg.ifqSize; }
+
+    /**
+     * @return true if an instruction of class @p op from @p tid fits
+     * every shared capacity and partition limit dispatch checks.
+     */
+    bool dispatchFits(ThreadId tid, OpClass op) const;
+
+    /**
+     * Quiescence test run() makes before each step().
+     * @param end the cycle the current run() window ends at
+     * @param locked set to the threads whose fetch the ICOUNT walk
+     *        counts as partition-locked each quiet cycle (bit tid)
+     * @return now() if some stage can act this cycle; otherwise the
+     *         earliest cycle in (now(), end] at which one might
+     */
+    Cycle quietUntil(Cycle end, std::uint32_t &locked) const;
+
+    /**
+     * Jump from now() to @p wake over quiet cycles, applying what
+     * they would have changed: round-robin pointers (outside a stall),
+     * @p locked threads' partitionLockCycles, or stalledCycles.
+     */
+    void skipQuiet(Cycle wake, std::uint32_t locked);
 
     /** Ensure the instruction at @p seq exists in the replay window. */
     void ensureGenerated(ThreadState &t, InstSeq seq);

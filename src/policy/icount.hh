@@ -20,6 +20,7 @@ class IcountPolicy : public ResourcePolicy
   public:
     std::string name() const override { return "ICOUNT"; }
     void attach(SmtCpu &cpu) override;
+    bool perCycle() const override { return false; }
     std::unique_ptr<ResourcePolicy> clone() const override;
 };
 

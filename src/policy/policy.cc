@@ -13,6 +13,12 @@ ResourcePolicy::cycle(SmtCpu &)
 {
 }
 
+bool
+ResourcePolicy::perCycle() const
+{
+    return true;
+}
+
 void
 ResourcePolicy::epoch(SmtCpu &, std::uint64_t)
 {

@@ -3,11 +3,13 @@
  * Resource-distribution policy interface.
  *
  * A policy observes the machine and controls fetch locks and resource
- * partitions. The experiment runner drives the machine cycle by
- * cycle, invoking cycle() before every SmtCpu::step() and epoch() at
- * every epoch boundary. All policies rely on the ICOUNT fetch
- * priority that is built into the core's fetch stage (Section 3.1.2:
- * fetch bandwidth itself is always distributed by ICOUNT).
+ * partitions. The experiment runner drives each epoch in one of two
+ * ways: cycle by cycle, invoking cycle() before every SmtCpu::step(),
+ * when perCycle() is true; or as one SmtCpu::run(epoch_size), which
+ * may skip quiet cycles, when it is false. It invokes epoch() at
+ * every epoch boundary either way. All policies rely on the ICOUNT
+ * fetch priority that is built into the core's fetch stage (Section
+ * 3.1.2: fetch bandwidth itself is always distributed by ICOUNT).
  */
 
 #ifndef SMTHILL_POLICY_POLICY_HH
@@ -35,8 +37,21 @@ class ResourcePolicy
     /** Called once before simulation begins (install initial state). */
     virtual void attach(SmtCpu &cpu);
 
-    /** Called every cycle before the machine steps. */
+    /**
+     * Called every cycle before the machine steps, when perCycle()
+     * is true; never called by the runner otherwise.
+     */
     virtual void cycle(SmtCpu &cpu);
+
+    /**
+     * @return true if the policy needs cycle() before every step().
+     * Default true, so a subclass that overrides cycle() is safe
+     * without knowing about this hook. A policy whose cycle() does
+     * nothing returns false, and the runner then advances each epoch
+     * with SmtCpu::run(), which jumps over cycles where no pipeline
+     * stage can act (bit-identical to stepping them).
+     */
+    virtual bool perCycle() const;
 
     /**
      * Called at every epoch boundary.

@@ -27,6 +27,7 @@ class StaticPartitionPolicy : public ResourcePolicy
 
     std::string name() const override { return "STATIC"; }
     void attach(SmtCpu &cpu) override;
+    bool perCycle() const override { return false; }
     std::unique_ptr<ResourcePolicy> clone() const override;
 
   private:

@@ -908,6 +908,114 @@ stageLearnerPairDiff(const FuzzCase &c, FuzzResult &r)
     }
 }
 
+// --- Stage I: run() fast-forward vs step() ------------------------
+
+/** A share small enough that @p tid's fetch partition-locks often. */
+Partition
+tightPartition(Rng &rng, int threads, int total, ThreadId tid)
+{
+    const int tight = 1 + static_cast<int>(rng.nextBelow(
+                              static_cast<std::uint64_t>(
+                                  std::max(1, total / (4 * threads)))));
+    const int rest = total - tight;
+    const int each = rest / (threads - 1);
+    Partition p;
+    p.numThreads = threads;
+    for (int i = 0; i < threads; ++i)
+        p.share[i] = each;
+    p.share[tid] = tight;
+    p.share[tid == 0 ? 1 : 0] += rest - each * (threads - 1);
+    return p;
+}
+
+/** Apply one random control op to both machines of stage I. */
+void
+applyControlOp(Rng &rng, SmtCpu &fast, SmtCpu &slow)
+{
+    const int nt = fast.numThreads();
+    const auto tid = static_cast<ThreadId>(
+        rng.nextBelow(static_cast<std::uint64_t>(nt)));
+    switch (rng.nextBelow(6)) {
+      case 0: {
+        Partition p =
+            tightPartition(rng, nt, fast.config().intRegs, tid);
+        fast.setPartition(p);
+        slow.setPartition(p);
+        return;
+      }
+      case 1:
+        fast.clearPartition();
+        slow.clearPartition();
+        return;
+      case 2: {
+        const Cycle until = fast.now() + 1 + rng.nextBelow(2048);
+        fast.stallUntil(until);
+        slow.stallUntil(until);
+        return;
+      }
+      case 3:
+        fast.setFetchLocked(tid, !fast.fetchLocked(tid));
+        slow.setFetchLocked(tid, !slow.fetchLocked(tid));
+        return;
+      case 4:
+        fast.setThreadEnabled(tid, !fast.threadEnabled(tid));
+        slow.setThreadEnabled(tid, !slow.threadEnabled(tid));
+        return;
+      default: {
+        // FLUSH's recovery: squash behind the oldest outstanding miss.
+        const auto &misses = fast.outstandingMisses(tid);
+        if (misses.empty())
+            return;
+        const InstSeq seq = misses.front().seq;
+        fast.flushThreadAfter(tid, seq);
+        slow.flushThreadAfter(tid, seq);
+        return;
+      }
+    }
+}
+
+void
+stageRunVsStep(const FuzzCase &c, FuzzResult &r)
+{
+    static const char *kStage = "I.run-vs-step";
+
+    // Two builds of the case's warm machine: one advances through
+    // run()'s quiescence fast-forward, the other one step() at a time.
+    SmtCpu fast = buildFuzzCpu(c);
+    SmtCpu slow = buildFuzzCpu(c);
+    Rng rng(c.ffSeed);
+    for (int w = 0; w < c.ffWindows; ++w) {
+        // Log-uniform lengths in [1, 8192]: short windows end inside
+        // quiet stretches, long ones cross many of them.
+        const Cycle len =
+            1 + rng.nextBelow(Cycle{2} << rng.nextBelow(13));
+        fast.run(len);
+        for (Cycle i = 0; i < len; ++i)
+            slow.step();
+
+        const char *what = nullptr;
+        if (fast.now() != slow.now())
+            what = "cycle";
+        else if (!(fast.stats() == slow.stats()))
+            what = "stats";
+        else if (!(fast.occupancyTotals() == slow.occupancyTotals()))
+            what = "occupancy_totals";
+        else if (!(MachineSnapshot::capture(fast) ==
+                   MachineSnapshot::capture(slow)))
+            what = "snapshot";
+        if (what != nullptr) {
+            finding(r, kStage, what,
+                    msg("window ", w, " (", len, " cycles, ending at ",
+                        slow.now(), "): run() and step() machines "
+                        "diverge; fast at cycle ", fast.now(),
+                        ", committed ", fast.stats().committedTotal(),
+                        " vs ", slow.stats().committedTotal()));
+            return;
+        }
+        applyControlOp(rng, fast, slow);
+    }
+}
+
 } // namespace
 
 // --- Case construction ---------------------------------------------
@@ -992,6 +1100,10 @@ makeFuzzCase(std::uint64_t seed)
     c.learnerB = static_cast<int>(rng.nextBelow(4));
     if (c.learnerB >= c.learnerA)
         ++c.learnerB; // uniform over distinct pairs
+
+    // Stage I draws come after stage H's for the same reason.
+    c.ffWindows = 12 + static_cast<int>(rng.nextBelow(9)); // 12..20
+    c.ffSeed = rng.next();
     return c;
 }
 
@@ -1006,7 +1118,7 @@ FuzzCase::str() const
                " epochs=", epochs, " warmup=", warmup, " stride=",
                offlineStride, " osJobs=", osJobs, " osGap=", osMeanGap,
                " osSla=", osSla, " pair=", learnerName(learnerA), "/",
-               learnerName(learnerB));
+               learnerName(learnerB), " ffWindows=", ffWindows);
 }
 
 std::string
@@ -1036,6 +1148,7 @@ runFuzzCase(const FuzzCase &c)
     stagePhaseFreeDiff(c, r);
     stageOpenSystemChurn(c, r);
     stageLearnerPairDiff(c, r);
+    stageRunVsStep(c, r);
     return r;
 }
 

@@ -43,6 +43,15 @@
  *     the pair must agree on epoch cadence (final cycle and trace
  *     length), and each learner must survive a churn scenario with
  *     exact job accounting and a bit-identical cloned rerun.
+ *  I. run() vs step(): two builds of the warm machine advance
+ *     through ffWindows random windows of 1-8192 cycles, one with
+ *     run(w) (quiescence fast-forward), the other with w step()
+ *     calls. Between windows both get the same random control op
+ *     (a partition tight enough to fetch-lock a thread,
+ *     clearPartition, stallUntil, a fetch-lock or enable toggle, or
+ *     a flush behind an outstanding miss). After every window the
+ *     cycle, CpuStats (partitionLockCycles and stalledCycles
+ *     included), occupancy totals, and MachineSnapshot must match.
  *
  * Failures come back as FuzzFindings tagged with their stage; a
  * failing case can be shrunk with minimizeFuzzCase, whose output is
@@ -87,6 +96,11 @@ struct FuzzCase
     // 3 BANDIT-EXP3, 4 RL-Q; always distinct.
     int learnerA = 0;
     int learnerB = 1;
+
+    // Stage I fast-forward race (drawn after the stage H fields so
+    // older seeds keep expanding to the same A-H scenarios).
+    int ffWindows = 16;         ///< run()-vs-step() windows
+    std::uint64_t ffSeed = 0;   ///< window lengths and control ops
 
     /** One-line description for logs and reproducer reports. */
     std::string str() const;

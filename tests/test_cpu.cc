@@ -1,11 +1,15 @@
 /**
  * @file
  * Unit tests for the SMT pipeline core: forward progress, occupancy
- * invariants, statistics, determinism, and checkpoint-by-copy.
+ * invariants, statistics, determinism, checkpoint-by-copy, and the
+ * run() quiescence fast-forward against its step() reference.
  */
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
+#include "common/stat_registry.hh"
+#include "harness/report.hh"
 #include "pipeline/cpu.hh"
 #include "trace/spec_profiles.hh"
 
@@ -288,6 +292,140 @@ TEST(SmtCpu, SingleThreadIpcReasonable)
                  100000.0;
     EXPECT_GT(ipc, 1.0);
     EXPECT_LT(ipc, 8.0);
+}
+
+// --- run() fast-forward vs the step() reference ---------------------
+
+/** Default Table 1 machine on SPEC profiles, warmed through run(). */
+SmtCpu
+specCpu(const std::vector<std::string> &benches, Cycle warm)
+{
+    SmtConfig cfg;
+    cfg.numThreads = static_cast<int>(benches.size());
+    std::vector<StreamGenerator> gens;
+    for (std::size_t i = 0; i < benches.size(); ++i)
+        gens.emplace_back(specProfile(benches[i]), i + 1);
+    SmtCpu cpu(cfg, std::move(gens));
+    cpu.run(warm);
+    return cpu;
+}
+
+void
+stepCycles(SmtCpu &cpu, Cycle n)
+{
+    for (Cycle i = 0; i < n; ++i)
+        cpu.step();
+}
+
+std::uint64_t
+skippedSoFar()
+{
+    return globalStats().counter("smthill.cpu.skipped_cycles").value();
+}
+
+/** Everything stage I of the fuzzer compares, plus per-thread state. */
+void
+expectSameMachine(const SmtCpu &fast, const SmtCpu &slow)
+{
+    ASSERT_EQ(fast.now(), slow.now());
+    EXPECT_TRUE(fast.stats() == slow.stats());
+    EXPECT_TRUE(fast.occupancyTotals() == slow.occupancyTotals());
+    EXPECT_TRUE(MachineSnapshot::capture(fast) ==
+                MachineSnapshot::capture(slow));
+    for (int i = 0; i < fast.numThreads(); ++i) {
+        const auto tid = static_cast<ThreadId>(i);
+        EXPECT_EQ(fast.frontEndCount(tid), slow.frontEndCount(tid));
+        EXPECT_EQ(fast.dl1MissesInFlight(tid), slow.dl1MissesInFlight(tid));
+    }
+}
+
+TEST(CpuFastForward, MemoryBoundSoloMcfMatchesStep)
+{
+    SmtCpu fast = specCpu({"mcf"}, 100000);
+    SmtCpu slow = fast;
+    const std::uint64_t before = skippedSoFar();
+    fast.run(200000);
+    const std::uint64_t skipped = skippedSoFar() - before;
+    stepCycles(slow, 200000);
+    expectSameMachine(fast, slow);
+    // mcf waits on memory most of the time: most cycles are quiet.
+    EXPECT_GT(skipped, 100000u);
+    EXPECT_EQ(skippedSoFar() - before, skipped)
+        << "a step() loop must not count skipped cycles";
+}
+
+TEST(CpuFastForward, PartitionLockCyclesGrowInsideSkips)
+{
+    SmtCpu fast = specCpu({"art", "mcf"}, 100000);
+    // A 32-register share keeps mcf fetch-locked behind its misses
+    // most of the time, while both threads wait on memory.
+    Partition p;
+    p.numThreads = 2;
+    p.share[0] = fast.config().intRegs - 32;
+    p.share[1] = 32;
+    fast.setPartition(p);
+    SmtCpu slow = fast;
+
+    const Cycle window = 100000;
+    const std::uint64_t before = skippedSoFar();
+    const std::uint64_t locked0 = fast.stats().partitionLockCycles[1];
+    fast.run(window);
+    const std::uint64_t skipped = skippedSoFar() - before;
+    const std::uint64_t locked =
+        fast.stats().partitionLockCycles[1] - locked0;
+    stepCycles(slow, window);
+    expectSameMachine(fast, slow);
+    // Pigeonhole: more locked plus skipped cycles than the window
+    // holds means at least the excess was locked inside skips.
+    EXPECT_GT(locked + skipped, window + window / 10)
+        << "locked " << locked << ", skipped " << skipped;
+}
+
+TEST(CpuFastForward, StallSpanningInFlightMissesMatchesStep)
+{
+    SmtCpu fast = specCpu({"mcf"}, 100000);
+    while (fast.dl1MissesInFlight(0) == 0)
+        fast.step();
+    SmtCpu slow = fast;
+    const Cycle start = fast.now();
+    const Cycle until =
+        fast.outstandingMisses(0).back().completesAt + 100;
+    const std::uint64_t stalled0 = fast.stats().stalledCycles;
+    fast.stallUntil(until);
+    slow.stallUntil(until);
+
+    const std::uint64_t before = skippedSoFar();
+    fast.run(until - start);
+    EXPECT_GT(skippedSoFar() - before, 0u) << "no skip inside the stall";
+    stepCycles(slow, until - start);
+    expectSameMachine(fast, slow);
+    EXPECT_EQ(fast.stats().stalledCycles - stalled0, until - start);
+    EXPECT_EQ(fast.dl1MissesInFlight(0), 0) << "the misses drained";
+
+    // A window that runs past the stall's end: no skip may cross it.
+    fast.stallUntil(fast.now() + 700);
+    slow.stallUntil(slow.now() + 700);
+    fast.run(2700);
+    stepCycles(slow, 2700);
+    expectSameMachine(fast, slow);
+    EXPECT_EQ(fast.stats().stalledCycles - stalled0, until - start + 700);
+}
+
+TEST(CpuFastForward, WindowsEndingMidStretchMatchStep)
+{
+    SmtCpu fast = specCpu({"art", "mcf"}, 100000);
+    SmtCpu slow = fast;
+    Rng rng(97);
+    const std::uint64_t before = skippedSoFar();
+    for (int w = 0; w < 4096; ++w) {
+        const Cycle len = 1 + rng.nextBelow(97);
+        fast.run(len);
+        stepCycles(slow, len);
+        ASSERT_EQ(fast.now(), slow.now()) << "window " << w;
+        ASSERT_TRUE(fast.stats() == slow.stats()) << "window " << w;
+    }
+    expectSameMachine(fast, slow);
+    EXPECT_GT(skippedSoFar() - before, 0u);
 }
 
 } // namespace

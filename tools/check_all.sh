@@ -73,12 +73,14 @@ record tidy $?
 
 echo "== asan: address-sanitized fuzz smoke + tests =="
 # The ROADMAP's ASan suite regex (observability/export, churn,
-# bandit/RL, golden learner digests) plus the fuzz smoke.
+# bandit/RL, golden learner digests, run() fast-forward) plus the
+# fuzz smoke.
 ASAN_SUITES='Json|StatRegistry|EpochTracer|EventTrace|TraceReport'
 ASAN_SUITES="$ASAN_SUITES|MachineReport|Observability|Profile|Snapshot"
 ASAN_SUITES="$ASAN_SUITES|BenchDiff|HillMeasurement|HillBootstrap"
 ASAN_SUITES="$ASAN_SUITES|PartitionMoves|OpenSystem|HillClimbingChurn"
 ASAN_SUITES="$ASAN_SUITES|ChurnRefeasibility|Bandit|RlAlloc|LearnerGolden"
+ASAN_SUITES="$ASAN_SUITES|CpuFastForward"
 stage_build "$SRC_DIR/build-asan" -DSMTHILL_SANITIZE=address &&
     (cd "$SRC_DIR/build-asan" &&
      ctest --output-on-failure -j "$JOBS" \

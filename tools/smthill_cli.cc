@@ -423,6 +423,14 @@ main(int argc, char **argv)
                   "' (use key=value; see 'help')"));
     if (!config_file.empty() && !opts.loadFile(config_file, error))
         fatal(error);
+    // Zero-sized runs would divide by zero cycles: NaN metrics and
+    // null JSON from an epoch count or size, and a 0/0 solo IPC.
+    if (rc.epochs <= 0)
+        fatal(msg("epochs must be positive (got ", rc.epochs, ")"));
+    if (rc.epochSize == 0)
+        fatal("epoch_size must be positive (got 0)");
+    if (solo_epochs == 0)
+        fatal("solo_epochs must be positive (got 0)");
     if (profile_on)
         prof::setProfilingEnabled(true);
 
