@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -82,7 +83,8 @@ benchJobs()
 {
     return static_cast<int>(envScale(
         "SMTHILL_JOBS",
-        static_cast<std::uint64_t>(ThreadPool::defaultJobs())));
+        static_cast<std::uint64_t>(ThreadPool::defaultJobs()), 1,
+        static_cast<std::uint64_t>(std::numeric_limits<int>::max())));
 }
 
 /**

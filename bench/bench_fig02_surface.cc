@@ -27,7 +27,9 @@ main()
     banner("Figure 2: IPC vs resource distribution "
            "(mesa / vortex / fma3d, 32K-cycle interval)");
 
-    const int step = static_cast<int>(envScale("SMTHILL_SURFACE_STEP", 32));
+    // A step of 0 would never leave the first row.
+    const int step =
+        static_cast<int>(envScale("SMTHILL_SURFACE_STEP", 32, 1, 256));
     const Cycle interval = 32 * 1024;
     const int total = 256;
     const int min_share = 8;

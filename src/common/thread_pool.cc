@@ -9,12 +9,28 @@
 namespace smthill
 {
 
+namespace
+{
+
+/**
+ * Set on a thread while it runs pool tasks: on a pool worker thread,
+ * and on a caller while it drains a concurrent parallelFor. Nested
+ * fan-outs run inline while it holds.
+ */
+thread_local bool tlsInPoolTask = false;
+
+} // namespace
+
 ThreadPool::ThreadPool(int jobs)
     : numJobs(jobs < 1 ? 1 : jobs),
       tasksStat(globalStats().counter("smthill.thread_pool.tasks")),
       queueDepthStat(globalStats().gauge("smthill.thread_pool.queue_depth")),
       forIndicesStat(globalStats().counter("smthill.thread_pool.for_indices"))
 {
+    // A pool built inside a pool task would only run inline (see
+    // parallelForWorker), so it spawns no threads at all.
+    if (tlsInPoolTask)
+        return;
     workers.reserve(static_cast<std::size_t>(numJobs - 1));
     for (int i = 0; i < numJobs - 1; ++i)
         workers.emplace_back([this] { workerLoop(); });
@@ -52,6 +68,8 @@ ThreadPool::enqueue(std::function<void()> task)
 void
 ThreadPool::workerLoop()
 {
+    // A pool thread only ever runs pool tasks.
+    tlsInPoolTask = true;
     for (;;) {
         std::function<void()> task;
         {
@@ -128,9 +146,11 @@ ThreadPool::parallelForWorker(
     if (n == 0)
         return;
     forIndicesStat.add(n);
-    if (workers.empty() || n == 1) {
+    if (workers.empty() || n == 1 || tlsInPoolTask) {
         // Exact serial execution: same thread, same order, and
         // exceptions propagate directly from the throwing index.
+        // Inside a pool task this is also the no-nesting rule: the
+        // enclosing fan-out already occupies every lane.
         for (std::size_t i = 0; i < n; ++i)
             body(i, 0);
         return;
@@ -162,7 +182,12 @@ ThreadPool::parallelForWorker(
         });
     }
 
+    // The caller is a pool lane while it drains. The flag was clear
+    // (a flagged caller runs inline above), and drain catches every
+    // exception, so plain set/clear is exact.
+    tlsInPoolTask = true;
     state->drain([&body](std::size_t i) { body(i, 0); });
+    tlsInPoolTask = false;
 
     // Take the exception out of the shared state before rethrowing:
     // the last reference to the exception object must be released

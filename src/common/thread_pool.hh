@@ -16,6 +16,12 @@
  * bit-identical for any job count — including jobs == 1, which runs
  * every index inline on the calling thread with no workers involved
  * (the exact legacy serial execution).
+ *
+ * No nested pools: a parallelFor issued from inside a pool task (a
+ * task body, a parallelFor index on a concurrent lane, or a submit
+ * task) runs inline on that lane, and a pool constructed there spawns
+ * no threads. Grid cells that build learners or solo references with
+ * the grid's own job count therefore never multiply the thread count.
  */
 
 #ifndef SMTHILL_COMMON_THREAD_POOL_HH
@@ -44,8 +50,11 @@ class ThreadPool
   public:
     /**
      * @param jobs total concurrency including the calling thread;
-     *        clamped to >= 1. jobs == 1 spawns no workers and makes
-     *        every parallelFor/submit run inline on the caller.
+     *        clamped to >= 1. jobs == 1, or construction from inside
+     *        a pool task, spawns no workers and makes every
+     *        parallelFor/submit run inline on the caller; jobs()
+     *        still reports the clamped value, so per-worker scratch
+     *        sized by it stays valid.
      */
     explicit ThreadPool(int jobs);
 
@@ -63,6 +72,8 @@ class ThreadPool
      * If any invocation throws, the exception with the lowest index
      * is rethrown after every in-flight task has finished (so the
      * surviving exception is deterministic regardless of schedule).
+     * Called from inside a pool task, it runs every index inline on
+     * the calling lane, in index order.
      */
     void parallelFor(std::size_t n,
                      const std::function<void(std::size_t)> &body);

@@ -32,4 +32,39 @@ MachineArena::acquire(int worker, const SmtCpu &checkpoint)
     return *m;
 }
 
+void
+MachineArena::offerBest(int worker, double metric, std::uint64_t order)
+{
+    const SmtCpu &trial = *machines.at(static_cast<std::size_t>(worker));
+    std::lock_guard<std::mutex> lock(keepMutex);
+    const bool better = metric > keptMetric ||
+                        (kept && metric == keptMetric && order < keptOrder);
+    if (!better)
+        return;
+    if (keeper) {
+        keeper->restoreFrom(trial);
+    } else {
+        // First keep of the arena's lifetime; afterwards the keeper
+        // trades storage with the committed machine and restores
+        // into it.
+        keeper = std::make_unique<SmtCpu>(trial); // smthill-lint: allow(hot-path-allocation)
+    }
+    kept = true;
+    keptMetric = metric;
+    keptOrder = order;
+}
+
+std::uint64_t
+MachineArena::adoptBest(SmtCpu &cpu)
+{
+    if (!kept)
+        fatal("MachineArena: no trial was kept in this sweep");
+    cpu.adoptState(*keeper);
+    const std::uint64_t order = keptOrder;
+    kept = false;
+    keptMetric = -1.0;
+    keptOrder = 0;
+    return order;
+}
+
 } // namespace smthill

@@ -26,25 +26,14 @@ runTrialEpoch(SmtCpu &trial, const Partition &partition, Cycle epoch_size)
 
 IpcSample
 runFixedPartitionEpoch(const SmtCpu &checkpoint, const Partition &partition,
-                       Cycle epoch_size, SmtCpu *advanced)
+                       Cycle epoch_size)
 {
-    // One copy per committed epoch (not per trial); the committing
-    // run keeps the checkpoint's observer attachments, which a
-    // MachineArena restore deliberately drops.
+    // The one-shot reference: a fresh copy, detached like every
+    // trial machine (copies already drop both event-trace links).
     SmtCpu trial = checkpoint; // smthill-lint: allow(cpu-copy-hot-path)
-    if (!advanced) {
-        // Machine copies share the checkpoint's observer pointers,
-        // which are not thread-safe; pure trial epochs may run
-        // concurrently, so they run unobserved. The committing run
-        // (advanced != nullptr) is always serial and keeps them, so
-        // the machine handed back retains its observers.
-        trial.setBranchObserver(nullptr, nullptr);
-        trial.setLoadObserver(nullptr, nullptr);
-    }
-    IpcSample s = runTrialEpoch(trial, partition, epoch_size);
-    if (advanced)
-        *advanced = std::move(trial);
-    return s;
+    trial.setBranchObserver(nullptr, nullptr);
+    trial.setLoadObserver(nullptr, nullptr);
+    return runTrialEpoch(trial, partition, epoch_size);
 }
 
 double
@@ -65,6 +54,8 @@ OfflineExhaustive::OfflineExhaustive(OfflineConfig config)
 {
     if (cfg.stride < 1)
         fatal("OfflineExhaustive: stride must be >= 1");
+    if (cfg.epochSize < 1)
+        fatal("OfflineExhaustive: epochSize must be >= 1");
 }
 
 OfflineEpoch
@@ -75,16 +66,15 @@ OfflineExhaustive::stepEpoch(SmtCpu &cpu) const
         fatal("OfflineExhaustive: exhaustive search supports exactly "
               "2 hardware contexts (use RandHill for more)");
 
-    // One checkpoint capture per epoch; trials restore from it via
-    // the arena below.
-    const SmtCpu checkpoint = cpu; // smthill-lint: allow(cpu-copy-hot-path)
     const int total = cpu.config().intRegs;
 
-    // Every trial is an independent function of the checkpoint, so
-    // the sweep fans out across the pool. Results land in per-trial
-    // slots and are reduced below in enumeration order, making the
-    // chosen partition (first strict maximum, i.e. lowest share[0]
-    // among exact ties) bit-identical to the serial jobs=1 path.
+    // Every trial is an independent function of the live machine,
+    // which the sweep only reads, so the sweep fans out across the
+    // pool. Results land in per-trial slots and are reduced below in
+    // enumeration order, making the chosen partition (first strict
+    // maximum, i.e. lowest share[0] among exact ties) bit-identical
+    // to the serial jobs=1 path; the arena keeps the same trial's
+    // machine under the same rule.
     const std::vector<Partition> trials =
         enumeratePartitions2(total, cfg.stride);
     std::vector<IpcSample> samples(trials.size());
@@ -92,15 +82,15 @@ OfflineExhaustive::stepEpoch(SmtCpu &cpu) const
     pool->parallelForWorker(trials.size(), [&](std::size_t i, int worker) {
         // Restore the worker's warm machine instead of copy-
         // constructing a fresh SmtCpu per trial.
-        SmtCpu &trial = arena->acquire(worker, checkpoint);
+        SmtCpu &trial = arena->acquire(worker, cpu);
         samples[i] = runTrialEpoch(trial, trials[i], cfg.epochSize);
         metrics[i] = evalMetric(cfg.metric, samples[i], cfg.singleIpc);
+        arena->offerBest(worker, metrics[i], i);
     });
 
     OfflineEpoch rec;
     double best_metric = -1.0;
-    Partition best;
-    IpcSample best_ipc;
+    std::size_t best = 0;
 
     for (std::size_t i = 0; i < trials.size(); ++i) {
         if (cfg.keepCurves) {
@@ -111,15 +101,15 @@ OfflineExhaustive::stepEpoch(SmtCpu &cpu) const
         }
         if (metrics[i] > best_metric) {
             best_metric = metrics[i];
-            best = trials[i];
-            best_ipc = samples[i];
+            best = i;
         }
     }
-
-    // Commit: advance the real machine through the best trial. Only
+    // Commit: the best trial's machine becomes the real one. Only
     // this epoch is charged to execution time.
-    rec.ipc = runFixedPartitionEpoch(checkpoint, best, cfg.epochSize, &cpu);
-    rec.best = best;
+    if (arena->adoptBest(cpu) != best)
+        panic("OfflineExhaustive: kept trial is not the serial best");
+    rec.ipc = samples[best];
+    rec.best = trials[best];
     rec.metricValue = best_metric;
     return rec;
 }

@@ -1,11 +1,11 @@
 /**
  * @file
  * OFF-LINE exhaustive learning (Section 3.1): the ideal learner used
- * for the limit study. At each epoch boundary the whole machine is
- * checkpointed; every enumerated partitioning of the integer rename
- * registers is tried for one epoch from the checkpoint; the best
- * trial's partitioning is then used to advance the machine, and only
- * that epoch is charged to execution time.
+ * for the limit study. At each epoch boundary every enumerated
+ * partitioning of the integer rename registers is tried for one epoch
+ * from the machine's current state; the best trial's end state then
+ * becomes the machine (it is kept, not re-simulated), and only that
+ * epoch is charged to execution time.
  *
  * Restricted to 2 hardware contexts, like the paper (the exhaustive
  * trial count is exponential in the thread count).
@@ -28,24 +28,25 @@ namespace smthill
 {
 
 /**
- * Run one epoch from a copy of @p checkpoint under a fixed
- * @p partition, with no per-cycle policy actions.
- * @param[out] advanced if non-null, receives the machine state at
- *             the end of the epoch (for committing to this trial)
+ * One-shot reference epoch: run a fresh, unobserved copy of
+ * @p checkpoint for @p epoch_size cycles under a fixed @p partition,
+ * with no per-cycle policy actions. @p checkpoint is not modified.
+ * The learners never call this; tests use it as the reference for
+ * what a sweep committed (fuzz stages E and J re-simulate the same
+ * way on their own copy, so they can compare machine states too).
  * @return per-thread IPCs over the epoch
  */
 IpcSample runFixedPartitionEpoch(const SmtCpu &checkpoint,
                                  const Partition &partition,
-                                 Cycle epoch_size,
-                                 SmtCpu *advanced = nullptr);
+                                 Cycle epoch_size);
 
 /**
  * Measure one epoch on an already-restored trial machine (typically a
  * MachineArena machine just restored to the checkpoint): install the
  * partition, run @p epoch_size cycles, and return per-thread IPCs.
- * The machine is left in its end-of-epoch state; callers restore it
- * again before the next trial. Bit-identical to the value-copy path
- * of runFixedPartitionEpoch.
+ * The machine is left in its end-of-epoch state, which a sweep may
+ * keep as its committed machine. Bit-identical to the value-copy
+ * path of runFixedPartitionEpoch.
  */
 IpcSample runTrialEpoch(SmtCpu &trial, const Partition &partition,
                         Cycle epoch_size);
@@ -94,8 +95,19 @@ class OfflineExhaustive
     explicit OfflineExhaustive(OfflineConfig config = OfflineConfig{});
 
     /**
-     * Checkpoint @p cpu, exhaustively evaluate one epoch, then
-     * advance @p cpu through that epoch under the best partitioning.
+     * Exhaustively evaluate one epoch from @p cpu's current state,
+     * then advance @p cpu through that epoch under the best
+     * partitioning.
+     *
+     * Commit-adoption contract: the trials restore straight from
+     * @p cpu, which the sweep only reads; the best trial's end state
+     * (first strict maximum in enumeration order, for every job
+     * count) is kept, and @p cpu adopts it (SmtCpu::adoptState), so
+     * the committed epoch is that trial, bit-identical to
+     * re-simulating it with runFixedPartitionEpoch, and rec.ipc is
+     * its sample. Like every trial, the committed epoch runs
+     * unobserved: @p cpu's branch/load observers and event-trace
+     * links see none of it, and stay attached to @p cpu afterwards.
      */
     OfflineEpoch stepEpoch(SmtCpu &cpu) const;
 
@@ -109,10 +121,11 @@ class OfflineExhaustive
     /** Trial-sweep pool, shared by copies of the learner. */
     std::shared_ptr<ThreadPool> pool;
     /**
-     * Warm per-worker trial machines, shared by copies of the learner
-     * like the pool. A learner (including its copies) must not run
-     * stepEpoch concurrently from multiple threads — the arena's
-     * per-worker exclusivity holds within one sweep at a time.
+     * Warm per-worker trial machines and the best-trial keeper,
+     * shared by copies of the learner like the pool. A learner
+     * (including its copies) must not run stepEpoch concurrently from
+     * multiple threads — the arena's per-worker exclusivity and its
+     * one keeper hold within one sweep at a time.
      */
     std::shared_ptr<MachineArena> arena;
 };

@@ -16,6 +16,8 @@ RandHill::RandHill(RandHillConfig config)
         fatal("RandHill: need at least one iteration");
     if (cfg.delta < 1)
         fatal("RandHill: delta must be >= 1");
+    if (cfg.epochSize < 1)
+        fatal("RandHill: epochSize must be >= 1");
 }
 
 Partition
@@ -51,9 +53,6 @@ RandHill::randomPartition(int threads, int total)
 OfflineEpoch
 RandHill::stepEpoch(SmtCpu &cpu)
 {
-    // One checkpoint capture per epoch; trials restore from it via
-    // the arena below.
-    const SmtCpu checkpoint = cpu; // smthill-lint: allow(cpu-copy-hot-path)
     const int nt = cpu.numThreads();
     const int total = cpu.config().intRegs;
 
@@ -64,13 +63,16 @@ RandHill::stepEpoch(SmtCpu &cpu)
     double global_best_metric = -1.0;
     Partition global_best = anchor;
     IpcSample global_best_ipc;
+    int global_best_iter = 0;
 
     // The climb proceeds round by round: each round's nt trials all
-    // derive from the same anchor and checkpoint (no RNG involved),
-    // so they fan out across the pool; the reduction, the anchor
-    // move, and any restart draw then happen serially in iteration
-    // order, which keeps every result — including the restart RNG
-    // sequence — bit-identical to the jobs=1 serial path.
+    // derive from the same anchor and from the live machine, which
+    // the search only reads (no RNG involved), so they fan out across
+    // the pool; the reduction, the anchor move, and any restart draw
+    // then happen serially in iteration order, which keeps every
+    // result — including the restart RNG sequence — bit-identical to
+    // the jobs=1 serial path. The arena keeps the best trial's
+    // machine under the same rule, ordered by iteration index.
     for (int round_start = 0; round_start < cfg.iterations;
          round_start += nt) {
         const int len = std::min(nt, cfg.iterations - round_start);
@@ -83,11 +85,14 @@ RandHill::stepEpoch(SmtCpu &cpu)
                 trialPartition(anchor, k, cfg.delta, cfg.minShare);
         pool->parallelForWorker(
             static_cast<std::size_t>(len), [&](std::size_t k, int worker) {
-                SmtCpu &trial = arena->acquire(worker, checkpoint);
+                SmtCpu &trial = arena->acquire(worker, cpu);
                 samples[k] =
                     runTrialEpoch(trial, trials[k], cfg.epochSize);
                 metrics[k] =
                     evalMetric(cfg.metric, samples[k], cfg.singleIpc);
+                arena->offerBest(worker, metrics[k],
+                                 static_cast<std::uint64_t>(round_start) +
+                                     k);
             });
 
         for (int k = 0; k < len; ++k) {
@@ -96,6 +101,7 @@ RandHill::stepEpoch(SmtCpu &cpu)
                 global_best_metric = metrics[k];
                 global_best = trials[k];
                 global_best_ipc = samples[k];
+                global_best_iter = round_start + k;
             }
         }
 
@@ -118,9 +124,12 @@ RandHill::stepEpoch(SmtCpu &cpu)
         }
     }
 
+    // Commit: the best trial's machine becomes the real one.
+    if (arena->adoptBest(cpu) !=
+        static_cast<std::uint64_t>(global_best_iter))
+        panic("RandHill: kept trial is not the serial best");
     OfflineEpoch rec;
-    rec.ipc = runFixedPartitionEpoch(checkpoint, global_best,
-                                     cfg.epochSize, &cpu);
+    rec.ipc = global_best_ipc;
     rec.best = global_best;
     rec.metricValue = global_best_metric;
     return rec;

@@ -49,7 +49,13 @@ class RandHill
     /**
      * Search the current epoch's partition space by multi-start hill
      * climbing, then advance @p cpu through the epoch under the best
-     * partitioning found.
+     * partitioning found. Same commit-adoption contract as
+     * OfflineExhaustive::stepEpoch: trials restore from @p cpu, the
+     * best trial (first strict maximum in iteration order, i.e. the
+     * earliest (round, k) among ties) is kept and adopted rather
+     * than re-simulated, rec.ipc is its sample, and the committed
+     * epoch runs unobserved while @p cpu keeps its observers and
+     * event-trace links.
      */
     OfflineEpoch stepEpoch(SmtCpu &cpu);
 
@@ -66,7 +72,7 @@ class RandHill
     Rng rng;
     /** Round-trial pool, shared by copies of the learner. */
     std::shared_ptr<ThreadPool> pool;
-    /** Warm per-worker trial machines (see OfflineExhaustive). */
+    /** Trial machines and best-trial keeper (see OfflineExhaustive). */
     std::shared_ptr<MachineArena> arena;
 };
 

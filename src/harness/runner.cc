@@ -1,7 +1,10 @@
 #include "harness/runner.hh"
 
+#include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 #include <deque>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -219,6 +222,9 @@ soloIpc(const std::string &benchmark, const RunConfig &config,
 
         auto operator<=>(const SoloKey &) const = default;
     };
+    if (cycles == 0)
+        fatal(msg("soloIpc: ", benchmark,
+                  ": the solo window must be at least one cycle"));
     static WarmCache<SoloKey, double> cache(
         1024, "smthill.warm_cache.solo_ipc");
     SoloKey key{benchmark, cycles, config.seedSalt, config.warmupCycles,
@@ -242,9 +248,16 @@ soloIpc(const std::string &benchmark, const RunConfig &config,
 std::array<double, kMaxThreads>
 soloIpcs(const Workload &workload, const RunConfig &config, Cycle cycles)
 {
+    // One build per thread, each into its own slot; the cache makes
+    // a benchmark named twice build once, whichever lane gets there
+    // first, so hit/miss counts match the serial loop. One lane, or a
+    // call from inside a pool task, runs inline in thread order.
+    const int threads = workload.numThreads();
     std::array<double, kMaxThreads> out{};
-    for (int i = 0; i < workload.numThreads(); ++i)
-        out[i] = soloIpc(workload.benchmarks[i], config, cycles);
+    runGrid(static_cast<std::size_t>(threads),
+            std::min(config.jobs, threads), [&](std::size_t i) {
+                out[i] = soloIpc(workload.benchmarks[i], config, cycles);
+            });
     return out;
 }
 
@@ -265,17 +278,24 @@ runGridWorker(std::size_t cells, int jobs,
 }
 
 std::uint64_t
-envScale(const char *name, std::uint64_t def)
+envScale(const char *name, std::uint64_t def, std::uint64_t min_value,
+         std::uint64_t max_value)
 {
     const char *v = std::getenv(name);
     if (!v || !*v)
         return def;
-    char *end = nullptr;
-    unsigned long long parsed = std::strtoull(v, &end, 10);
-    if (end == v) {
-        warn(msg("ignoring unparsable ", name, "='", v, "'"));
-        return def;
+    // Decimal digits only: strtoull alone would read "64k" as 64 and
+    // "-1" as 2^64 - 1.
+    for (const char *p = v; *p; ++p) {
+        if (*p < '0' || *p > '9')
+            fatal(msg(name, "='", v, "' is not a non-negative integer"));
     }
+    errno = 0;
+    const unsigned long long parsed = std::strtoull(v, nullptr, 10);
+    if (parsed < min_value)
+        fatal(msg(name, "='", v, "' must be at least ", min_value));
+    if (errno == ERANGE || parsed > max_value)
+        fatal(msg(name, "='", v, "' must be at most ", max_value));
     return parsed;
 }
 
@@ -283,14 +303,18 @@ RunConfig
 benchRunConfig(int default_epochs)
 {
     RunConfig rc;
-    rc.epochs = static_cast<int>(
-        envScale("SMTHILL_EPOCHS", static_cast<std::uint64_t>(
-                                       default_epochs)));
-    rc.epochSize = envScale("SMTHILL_EPOCH_SIZE", rc.epochSize);
+    constexpr auto kIntMax =
+        static_cast<std::uint64_t>(std::numeric_limits<int>::max());
+    // Epochs and epoch size also size the solo window, so 0 would
+    // make every solo IPC 0/0.
+    rc.epochs = static_cast<int>(envScale(
+        "SMTHILL_EPOCHS", static_cast<std::uint64_t>(default_epochs), 1,
+        kIntMax));
+    rc.epochSize = envScale("SMTHILL_EPOCH_SIZE", rc.epochSize, 1);
     rc.seedSalt = envScale("SMTHILL_SEED", 0);
     rc.warmupCycles = envScale("SMTHILL_WARMUP", rc.warmupCycles);
-    rc.jobs = static_cast<int>(
-        envScale("SMTHILL_JOBS", static_cast<std::uint64_t>(rc.jobs)));
+    rc.jobs = static_cast<int>(envScale(
+        "SMTHILL_JOBS", static_cast<std::uint64_t>(rc.jobs), 1, kIntMax));
     return rc;
 }
 

@@ -10,6 +10,7 @@
 
 #include <array>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -118,12 +119,20 @@ IpcSample runOneEpoch(SmtCpu &cpu, ResourcePolicy &policy,
 
 /**
  * Stand-alone IPC of @p benchmark on a single-context version of the
- * machine, measured over @p cycles and cached process-wide.
+ * machine, measured over @p cycles (fatal if 0) and cached
+ * process-wide.
  */
 double soloIpc(const std::string &benchmark, const RunConfig &config,
                Cycle cycles);
 
-/** Solo IPCs for every thread of a workload (cached). */
+/**
+ * Solo IPCs for every thread of a workload (cached). The per-thread
+ * builds fan out over config.jobs lanes (at most one per thread),
+ * each into its own slot, so values and the solo cache's hit/miss
+ * counts are the same for every job count. With one lane, or when
+ * called from inside a pool task such as a runGrid cell, the builds
+ * run inline in thread order and no thread is spawned.
+ */
 std::array<double, kMaxThreads> soloIpcs(const Workload &workload,
                                          const RunConfig &config,
                                          Cycle cycles);
@@ -151,8 +160,16 @@ void runGrid(std::size_t cells, int jobs,
 void runGridWorker(std::size_t cells, int jobs,
                    const std::function<void(std::size_t, int)> &cell);
 
-/** Read an integer knob from the environment (benches scaling). */
-std::uint64_t envScale(const char *name, std::uint64_t def);
+/**
+ * Read an integer knob from the environment (benches scaling):
+ * @p def when @p name is unset or empty, else its decimal value.
+ * Anything but decimal digits, or a value outside
+ * [@p min_value, @p max_value], is fatal and names the variable.
+ */
+std::uint64_t envScale(const char *name, std::uint64_t def,
+                       std::uint64_t min_value = 0,
+                       std::uint64_t max_value =
+                           std::numeric_limits<std::uint64_t>::max());
 
 /** Standard bench RunConfig honoring SMTHILL_EPOCHS/EPOCH_SIZE/SEED. */
 RunConfig benchRunConfig(int default_epochs);

@@ -38,18 +38,17 @@ syncCompareOffline(SmtCpu cpu, const OfflineExhaustive &offline,
         for (std::size_t pi = 0; pi < policies.size(); ++pi)
             trace->processName(1 + static_cast<int>(pi),
                                policies[pi]->name());
+        cpu.setEventTrace(trace, 0);
     }
 
     for (int e = 0; e < epochs; ++e) {
-        // One checkpoint capture per epoch, not per trial.
-        const SmtCpu checkpoint = cpu; // smthill-lint: allow(cpu-copy-hot-path)
-
-        // Each policy runs one epoch from the shared checkpoint with
+        // Each policy runs one epoch from a copy of the machine (it
+        // stays at the epoch start until OFF-LINE commits below) with
         // a fresh clone (its steady state re-forms within cycles).
         // A handful of copies per epoch, each needing its own
         // event-trace wiring, so the arena buys nothing here.
         for (std::size_t pi = 0; pi < policies.size(); ++pi) {
-            SmtCpu trial = checkpoint; // smthill-lint: allow(cpu-copy-hot-path)
+            SmtCpu trial = cpu; // smthill-lint: allow(cpu-copy-hot-path)
             auto policy = policies[pi]->clone();
             // Clones drop any event-trace link (EventTraceRef), so
             // the per-epoch throwaway machines must be wired
@@ -66,10 +65,9 @@ syncCompareOffline(SmtCpu cpu, const OfflineExhaustive &offline,
         }
 
         // Advance the real machine along OFF-LINE's best path. The
-        // step replaces the machine with a committed trial copy, so
-        // the trace link must be restored every epoch.
-        if (trace)
-            cpu.setEventTrace(trace, 0);
+        // step adopts the winning trial's state and keeps the
+        // machine's trace link, which its unobserved trials never
+        // write to.
         OfflineEpoch rec = offline.stepEpoch(cpu);
         res.offline.metric.push_back(rec.metricValue);
         if (trace) {

@@ -1,6 +1,7 @@
 #include "pipeline/cpu.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/log.hh"
 #include "common/profile.hh"
@@ -127,6 +128,20 @@ SmtCpu::restoreFrom(const SmtCpu &checkpoint)
     branchObserverCtx = nullptr;
     loadObserver = nullptr;
     loadObserverCtx = nullptr;
+}
+
+void
+SmtCpu::adoptState(SmtCpu &other)
+{
+    // Member-wise moves: vectors trade buffers, nothing is copied.
+    std::swap(*this, other);
+    // Hand the attachments back to the machines they were made on.
+    std::swap(branchObserver, other.branchObserver);
+    std::swap(branchObserverCtx, other.branchObserverCtx);
+    std::swap(loadObserver, other.loadObserver);
+    std::swap(loadObserverCtx, other.loadObserverCtx);
+    std::swap(evtRef, other.evtRef);
+    std::swap(instRef, other.instRef);
 }
 
 void

@@ -114,6 +114,17 @@ class SmtCpu
     void restoreFrom(const SmtCpu &checkpoint);
 
     /**
+     * Swap simulated state with @p other: this machine continues
+     * exactly as @p other would have, and @p other now holds this
+     * machine's previous state (its storage stays warm for a later
+     * restoreFrom). Attachments are not state: each machine keeps its
+     * own branch/load observers and both event-trace links. This is
+     * how a trial sweep adopts its winning trial machine as the
+     * committed one without re-simulating the epoch.
+     */
+    void adoptState(SmtCpu &other);
+
+    /**
      * Advance the machine by one cycle. The one-cycle reference:
      * run() must leave the machine exactly as n step() calls would.
      */

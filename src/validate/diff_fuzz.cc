@@ -10,6 +10,7 @@
 #include "common/rng.hh"
 #include "core/offline_exhaustive.hh"
 #include "core/partitioning.hh"
+#include "core/rand_hill.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
 #include "phase/markov_predictor.hh"
@@ -437,6 +438,41 @@ stageCopyDeterminism(const FuzzCase &c, FuzzResult &r,
 
 // --- Stage E: offline serial vs parallel sweep ---------------------
 
+/**
+ * Race a learner's committed epoch against a re-simulation: @p cpu
+ * is the machine its stepEpoch committed (the kept best trial,
+ * adopted) and @p start a copy of the epoch-start machine, which
+ * this re-simulates with rec.best the way runFixedPartitionEpoch
+ * does. Cycle, CpuStats, occupancy totals, MachineSnapshot and
+ * rec.ipc must match; the first difference becomes a finding.
+ */
+void
+raceCommit(FuzzResult &r, const char *stage, const std::string &who,
+           int epoch, const SmtCpu &cpu, SmtCpu &start,
+           const OfflineEpoch &rec, Cycle epoch_size)
+{
+    const IpcSample want = runTrialEpoch(start, rec.best, epoch_size);
+    const char *what = nullptr;
+    if (cpu.now() != start.now())
+        what = "commit_cycle";
+    else if (!(cpu.stats() == start.stats()))
+        what = "commit_stats";
+    else if (!(cpu.occupancyTotals() == start.occupancyTotals()))
+        what = "commit_occupancy_totals";
+    else if (!(MachineSnapshot::capture(cpu) ==
+               MachineSnapshot::capture(start)))
+        what = "commit_snapshot";
+    else if (rec.ipc.ipc != want.ipc)
+        what = "commit_epoch_ipc";
+    if (what != nullptr) {
+        finding(r, stage, what,
+                msg(who, " epoch ", epoch, ": committed machine differs "
+                    "from a re-simulation of ", rec.best.str(),
+                    " (committed ", cpu.stats().committedTotal(), " vs ",
+                    start.stats().committedTotal(), ")"));
+    }
+}
+
 void
 stageOfflineJobs(const FuzzCase &c, FuzzResult &r, const SmtCpu &warm)
 {
@@ -461,8 +497,15 @@ stageOfflineJobs(const FuzzCase &c, FuzzResult &r, const SmtCpu &warm)
     SmtCpu a = warm; // smthill-lint: allow(cpu-copy-hot-path)
     SmtCpu b = warm; // smthill-lint: allow(cpu-copy-hot-path)
     for (int e = 0; e < 2; ++e) {
+        // Epoch-start copies for the commit race.
+        SmtCpu start_a = a; // smthill-lint: allow(cpu-copy-hot-path)
+        SmtCpu start_b = b; // smthill-lint: allow(cpu-copy-hot-path)
         OfflineEpoch ea = serial.stepEpoch(a);
         OfflineEpoch eb = parallel.stepEpoch(b);
+        raceCommit(r, kStage, "OFF-LINE jobs=1", e, a, start_a, ea,
+                   oc.epochSize);
+        raceCommit(r, kStage, "OFF-LINE jobs=3", e, b, start_b, eb,
+                   oc.epochSize);
         if (!(ea.best == eb.best)) {
             finding(r, kStage, "best_partition",
                     msg("epoch ", e, ": 1-job best ", ea.best.str(),
@@ -487,6 +530,38 @@ stageOfflineJobs(const FuzzCase &c, FuzzResult &r, const SmtCpu &warm)
                         a.stats().committed[i], " (1 job) vs ",
                         b.stats().committed[i], " (3 jobs)"));
         }
+    }
+}
+
+// --- Stage J: RAND-HILL adopted commit vs re-simulated best trial --
+
+void
+stageCommitAdoption(const FuzzCase &c, FuzzResult &r, const SmtCpu &warm)
+{
+    static const char *kStage = "J.commit-adoption";
+    const int nt = c.machine.numThreads;
+
+    // Derived from fields drawn for the older stages, so every seed
+    // keeps its A-I expansion.
+    RandHillConfig rc;
+    rc.epochSize = c.hill.epochSize;
+    rc.iterations = 3 * nt;
+    rc.delta = c.hill.delta;
+    rc.minShare = c.hill.minShare;
+    rc.metric = c.hill.metric;
+    rc.singleIpc.fill(1.0);
+    rc.seed = c.seed;
+    rc.jobs = 3;
+    RandHill rand_hill(rc);
+
+    // Deliberate value copies: the learner's machine and, per epoch,
+    // the epoch-start machine the race re-simulates.
+    SmtCpu cpu = warm; // smthill-lint: allow(cpu-copy-hot-path)
+    for (int e = 0; e < 2; ++e) {
+        SmtCpu start = cpu; // smthill-lint: allow(cpu-copy-hot-path)
+        const OfflineEpoch rec = rand_hill.stepEpoch(cpu);
+        raceCommit(r, kStage, "RAND-HILL jobs=3", e, cpu, start, rec,
+                   rc.epochSize);
     }
 }
 
@@ -1145,6 +1220,7 @@ runFuzzCase(const FuzzCase &c)
     stageCheckedRun(c, r, warm);
     stageCopyDeterminism(c, r, warm);
     stageOfflineJobs(c, r, warm);
+    stageCommitAdoption(c, r, warm);
     stagePhaseFreeDiff(c, r);
     stageOpenSystemChurn(c, r);
     stageLearnerPairDiff(c, r);

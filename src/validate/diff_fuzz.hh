@@ -20,7 +20,12 @@
  *  D. checkpoint determinism: two copies of the same warm machine
  *     under cloned policies must stay bit-identical;
  *  E. OfflineExhaustive with jobs == 1 vs jobs == 3 must produce
- *     bit-identical epochs (2-thread cases only);
+ *     bit-identical epochs (2-thread cases only), and after every
+ *     step each committed machine, which the learner adopted from
+ *     its kept best trial, must match a re-simulation of rec.best
+ *     from a copy of the epoch-start machine in cycle, CpuStats,
+ *     occupancy totals and MachineSnapshot, with rec.ipc equal to
+ *     the re-simulated epoch's IPCs;
  *  F. HillClimbing vs PhaseHillClimbing on phase-free streams must
  *     produce identical anchor trajectories and machine states (a
  *     single stable phase gives the phase learner nothing to reuse);
@@ -51,7 +56,9 @@
  *     clearPartition, stallUntil, a fetch-lock or enable toggle, or
  *     a flush behind an outstanding miss). After every window the
  *     cycle, CpuStats (partitionLockCycles and stalledCycles
- *     included), occupancy totals, and MachineSnapshot must match.
+ *     included), occupancy totals, and MachineSnapshot must match;
+ *  J. commit adoption (runs right after E): RAND-HILL at jobs 3
+ *     steps two epochs, each raced against a re-simulation as in E.
  *
  * Failures come back as FuzzFindings tagged with their stage; a
  * failing case can be shrunk with minimizeFuzzCase, whose output is

@@ -7,12 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
+#include <vector>
 
+#include "common/stat_registry.hh"
 #include "harness/runner.hh"
 #include "harness/sync_runner.hh"
 #include "harness/table.hh"
 #include "policy/dcra.hh"
 #include "policy/icount.hh"
+#include "trace/spec_profiles.hh"
 
 namespace smthill
 {
@@ -111,9 +115,99 @@ TEST(Runner, EnvScaleParsesAndDefaults)
     EXPECT_EQ(envScale("SMTHILL_TEST_KNOB", 7u), 7u);
     ::setenv("SMTHILL_TEST_KNOB", "123", 1);
     EXPECT_EQ(envScale("SMTHILL_TEST_KNOB", 7u), 123u);
-    ::setenv("SMTHILL_TEST_KNOB", "bogus", 1);
+    ::setenv("SMTHILL_TEST_KNOB", "", 1);
     EXPECT_EQ(envScale("SMTHILL_TEST_KNOB", 7u), 7u);
     ::unsetenv("SMTHILL_TEST_KNOB");
+}
+
+TEST(EnvScale, MalformedValuesAreFatal)
+{
+    // strtoull alone reads "64k" as 64 and "-1" as 2^64 - 1.
+    for (const char *bad : {"64k", "-1", "bogus", " 5", "+5",
+                            "18446744073709551616"}) {
+        ::setenv("SMTHILL_TEST_KNOB", bad, 1);
+        EXPECT_DEATH(envScale("SMTHILL_TEST_KNOB", 7u),
+                     "SMTHILL_TEST_KNOB")
+            << bad;
+    }
+    ::setenv("SMTHILL_TEST_KNOB", "0", 1);
+    EXPECT_EQ(envScale("SMTHILL_TEST_KNOB", 7u), 0u);
+    EXPECT_DEATH(envScale("SMTHILL_TEST_KNOB", 7u, 1),
+                 "SMTHILL_TEST_KNOB='0' must be at least 1");
+    ::setenv("SMTHILL_TEST_KNOB", "11", 1);
+    EXPECT_DEATH(envScale("SMTHILL_TEST_KNOB", 7u, 1, 10),
+                 "SMTHILL_TEST_KNOB='11' must be at most 10");
+    ::unsetenv("SMTHILL_TEST_KNOB");
+}
+
+TEST(EnvScale, BenchKnobsRejectZeroSizesAndNegativeWarmup)
+{
+    // 0 epochs or a 0-cycle epoch makes the solo window 0 cycles; a
+    // warm-up of -1 used to read as 2^64 - 1 cycles.
+    const struct
+    {
+        const char *name;
+        const char *value;
+    } cases[] = {{"SMTHILL_EPOCHS", "0"},
+                 {"SMTHILL_EPOCH_SIZE", "0"},
+                 {"SMTHILL_EPOCH_SIZE", "64k"},
+                 {"SMTHILL_WARMUP", "-1"},
+                 {"SMTHILL_JOBS", "0"}};
+    for (const auto &c : cases) {
+        ::setenv(c.name, c.value, 1);
+        EXPECT_DEATH(benchRunConfig(4), c.name) << c.value;
+        ::unsetenv(c.name);
+    }
+}
+
+TEST(EnvScale, ZeroCycleSoloWindowIsFatal)
+{
+    EXPECT_DEATH(soloIpc("bzip2", fastConfig(), 0), "solo window");
+}
+
+/** soloIpc's build, spelled out as an independent reference. */
+double
+referenceSoloIpc(const std::string &benchmark, const RunConfig &rc,
+                 Cycle cycles)
+{
+    SmtConfig machine = rc.machine;
+    machine.numThreads = 1;
+    std::vector<StreamGenerator> gens;
+    gens.emplace_back(specProfile(benchmark), rc.seedSalt * 131);
+    SmtCpu cpu(machine, std::move(gens));
+    cpu.run(rc.warmupCycles);
+    const std::uint64_t before = cpu.stats().committed[0];
+    cpu.run(cycles);
+    return static_cast<double>(cpu.stats().committed[0] - before) /
+           static_cast<double>(cycles);
+}
+
+TEST(SoloIpcs, SameValuesAndCacheCountsAtEveryJobCount)
+{
+    // One benchmark named twice: it builds once and hits once, as in
+    // the serial loop, whichever lane reaches the cache first.
+    const Workload w = makeCustomWorkload({"art", "mcf", "art"});
+    StatRegistry &stats = globalStats();
+    StatCounter &misses =
+        stats.counter("smthill.warm_cache.solo_ipc.misses");
+    StatCounter &hits = stats.counter("smthill.warm_cache.solo_ipc.hits");
+    for (int jobs : {1, 4}) {
+        RunConfig rc = fastConfig();
+        rc.warmupCycles = 16384;
+        rc.jobs = jobs;
+        // Fresh cache keys for each job count.
+        rc.seedSalt = 0x5010 + static_cast<std::uint64_t>(jobs);
+        const std::uint64_t misses0 = misses.value();
+        const std::uint64_t hits0 = hits.value();
+        const auto solo = soloIpcs(w, rc, 8192);
+        EXPECT_EQ(misses.value() - misses0, 2u) << "jobs " << jobs;
+        EXPECT_EQ(hits.value() - hits0, 1u) << "jobs " << jobs;
+        for (int i = 0; i < w.numThreads(); ++i) {
+            EXPECT_EQ(solo[i], referenceSoloIpc(w.benchmarks[i], rc, 8192))
+                << "jobs " << jobs << " thread " << i;
+        }
+        EXPECT_EQ(solo[3], 0.0);
+    }
 }
 
 TEST(SyncRunner, ComparesPoliciesFromSharedCheckpoints)

@@ -83,8 +83,8 @@ TEST(Offline, BestTrialIsMaxOfCurve)
 
 TEST(Offline, ChosenEpochMatchesBestTrialPerformance)
 {
-    // The committed epoch re-runs the best partitioning from the same
-    // checkpoint, so the committed IPCs must equal the best trial's.
+    // The committed epoch is the best trial itself, so the committed
+    // IPCs must score the best trial's metric.
     SmtCpu cpu = testCpu();
     OfflineConfig oc = fastConfig();
     oc.keepCurves = true;
@@ -160,18 +160,35 @@ TEST(Offline, FixedPartitionEpochDoesNotMutateCheckpoint)
     EXPECT_EQ(cpu.now(), now);
 }
 
-TEST(Offline, AdvancedOutputContinuesFromTrial)
+TEST(Offline, AdoptedCommitEqualsResimulatedCommit)
 {
-    SmtCpu cpu = testCpu();
-    SmtCpu advanced = cpu; // placeholder value
-    IpcSample s = runFixedPartitionEpoch(cpu, Partition::equal(2, 256),
-                                         4096, &advanced);
-    EXPECT_EQ(advanced.now(), cpu.now() + 4096);
-    double ipc_from_stats =
-        static_cast<double>(advanced.stats().committedTotal() -
-                            cpu.stats().committedTotal()) /
-        4096.0;
-    EXPECT_NEAR(s.ipc[0] + s.ipc[1], ipc_from_stats, 1e-9);
+    // The committed machine is the kept best trial, not a re-run: at
+    // every job count it must equal a fresh re-simulation of the
+    // chosen partition from the epoch start, and keep evolving
+    // identically afterwards.
+    for (int jobs : {1, 3}) {
+        OfflineConfig oc = fastConfig();
+        oc.jobs = jobs;
+        OfflineExhaustive off(oc);
+        SmtCpu cpu = testCpu();
+        const SmtCpu start = cpu;
+        OfflineEpoch rec = off.stepEpoch(cpu);
+
+        SmtCpu again = start;
+        IpcSample s = runTrialEpoch(again, rec.best, oc.epochSize);
+        EXPECT_EQ(cpu.now(), start.now() + oc.epochSize);
+        EXPECT_EQ(rec.ipc.ipc, s.ipc);
+        EXPECT_EQ(rec.ipc.ipc,
+                  runFixedPartitionEpoch(start, rec.best, oc.epochSize).ipc);
+        EXPECT_TRUE(cpu.stats() == again.stats());
+        EXPECT_TRUE(cpu.occupancyTotals() == again.occupancyTotals());
+        EXPECT_TRUE(MachineSnapshot::capture(cpu) ==
+                    MachineSnapshot::capture(again));
+
+        cpu.run(oc.epochSize);
+        again.run(oc.epochSize);
+        EXPECT_TRUE(cpu.stats() == again.stats()) << "jobs " << jobs;
+    }
 }
 
 } // namespace

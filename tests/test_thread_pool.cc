@@ -181,5 +181,43 @@ TEST(ThreadPool, ReusableAcrossManyParallelFors)
     }
 }
 
+/** @return whether @p pool runs @p n indices inline as worker 0. */
+bool
+runsInlineOnCaller(ThreadPool &pool, std::size_t n)
+{
+    const auto caller = std::this_thread::get_id();
+    std::vector<std::thread::id> ids(n);
+    std::vector<int> workers(n, -1);
+    pool.parallelForWorker(n, [&](std::size_t j, int worker) {
+        ids[j] = std::this_thread::get_id();
+        workers[j] = worker;
+    });
+    for (std::size_t j = 0; j < n; ++j)
+        if (ids[j] != caller || workers[j] != 0)
+            return false;
+    return true;
+}
+
+TEST(ThreadPool, NestedCallsRunInlineOnTheCallersLane)
+{
+    // No nested pools: a fan-out issued from inside a pool task runs
+    // inline on that lane, whether its pool was built outside (inner)
+    // or inside the task (local, which spawns no threads).
+    ThreadPool outer(4);
+    ThreadPool inner(4);
+    constexpr std::size_t n = 8;
+    constexpr std::size_t m = 16;
+    std::vector<int> inlineOnLane(n, 0);
+    outer.parallelFor(n, [&](std::size_t i) {
+        ThreadPool local(4);
+        inlineOnLane[i] =
+            runsInlineOnCaller(inner, m) && runsInlineOnCaller(local, m)
+                ? 1
+                : 0;
+    });
+    for (std::size_t i = 0; i < n; ++i)
+        EXPECT_EQ(inlineOnLane[i], 1) << "index " << i;
+}
+
 } // namespace
 } // namespace smthill

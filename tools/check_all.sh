@@ -73,14 +73,14 @@ record tidy $?
 
 echo "== asan: address-sanitized fuzz smoke + tests =="
 # The ROADMAP's ASan suite regex (observability/export, churn,
-# bandit/RL, golden learner digests, run() fast-forward) plus the
-# fuzz smoke.
+# bandit/RL, golden learner digests, run() fast-forward, commit
+# adoption, solo-reference fan-out, env knobs) plus the fuzz smoke.
 ASAN_SUITES='Json|StatRegistry|EpochTracer|EventTrace|TraceReport'
 ASAN_SUITES="$ASAN_SUITES|MachineReport|Observability|Profile|Snapshot"
 ASAN_SUITES="$ASAN_SUITES|BenchDiff|HillMeasurement|HillBootstrap"
 ASAN_SUITES="$ASAN_SUITES|PartitionMoves|OpenSystem|HillClimbingChurn"
 ASAN_SUITES="$ASAN_SUITES|ChurnRefeasibility|Bandit|RlAlloc|LearnerGolden"
-ASAN_SUITES="$ASAN_SUITES|CpuFastForward"
+ASAN_SUITES="$ASAN_SUITES|CpuFastForward|OfflineCommit|SoloIpcs|EnvScale"
 stage_build "$SRC_DIR/build-asan" -DSMTHILL_SANITIZE=address &&
     (cd "$SRC_DIR/build-asan" &&
      ctest --output-on-failure -j "$JOBS" \
@@ -88,10 +88,12 @@ stage_build "$SRC_DIR/build-asan" -DSMTHILL_SANITIZE=address &&
 record asan $?
 
 echo "== tsan: thread-sanitized parallel suites =="
+# Offline|RandHill: the learners' best-trial keeper is shared by the
+# sweep's workers; SoloIpcs: the fanned-out solo references.
 stage_build "$SRC_DIR/build-tsan" -DSMTHILL_SANITIZE=thread &&
     (cd "$SRC_DIR/build-tsan" &&
      ctest --output-on-failure -j "$JOBS" \
-           -R 'ThreadPool|ParallelDeterminism|TsanFixture|FuzzSmoke')
+           -R 'ThreadPool|ParallelDeterminism|TsanFixture|FuzzSmoke|Offline|RandHill|SoloIpcs')
 record tsan $?
 
 echo "== benchdiff: report-only perf diff vs the tracked baseline =="
