@@ -75,16 +75,26 @@ soloWindow(const RunConfig &rc)
 }
 
 /**
+ * A count-like bench knob: @p def when @p name is unset, else its
+ * value, which must lie in [1, INT_MAX] (anything else is fatal and
+ * names the variable, so it can never wrap into a different count).
+ */
+inline int
+envPositiveInt(const char *name, int def)
+{
+    return static_cast<int>(envScale(
+        name, static_cast<std::uint64_t>(def), 1,
+        static_cast<std::uint64_t>(std::numeric_limits<int>::max())));
+}
+
+/**
  * Grid concurrency for benches: SMTHILL_JOBS pins it (CI sets 1 for
  * byte-stable logs), otherwise all hardware threads are used.
  */
 inline int
 benchJobs()
 {
-    return static_cast<int>(envScale(
-        "SMTHILL_JOBS",
-        static_cast<std::uint64_t>(ThreadPool::defaultJobs()), 1,
-        static_cast<std::uint64_t>(std::numeric_limits<int>::max())));
+    return envPositiveInt("SMTHILL_JOBS", ThreadPool::defaultJobs());
 }
 
 /**

@@ -29,8 +29,7 @@ main()
            "DCRA (2-thread workloads, weighted IPC)");
 
     RunConfig rc = benchRunConfig(10);
-    const int stride =
-        static_cast<int>(envScale("SMTHILL_OFFLINE_STRIDE", 16));
+    const int stride = envPositiveInt("SMTHILL_OFFLINE_STRIDE", 16);
 
     // One grid cell per workload; cells run concurrently (rc.jobs)
     // and fill their own row, which is reduced/printed in order.

@@ -54,7 +54,7 @@ main()
 
     OfflineConfig oc;
     oc.epochSize = rc.epochSize;
-    oc.stride = static_cast<int>(envScale("SMTHILL_OFFLINE_STRIDE", 16));
+    oc.stride = envPositiveInt("SMTHILL_OFFLINE_STRIDE", 16);
     oc.singleIpc = solo;
     OfflineExhaustive off(oc);
 

@@ -30,8 +30,7 @@ main()
            "(averaged over epochs)");
 
     RunConfig rc = benchRunConfig(4);
-    const int stride =
-        static_cast<int>(envScale("SMTHILL_OFFLINE_STRIDE", 8));
+    const int stride = envPositiveInt("SMTHILL_OFFLINE_STRIDE", 8);
 
     Table t({"workload", "group", "w.99", "w.98", "w.97", "w.95", "w.90",
              "peak"});
@@ -42,7 +41,6 @@ main()
         oc.epochSize = rc.epochSize;
         oc.stride = stride;
         oc.singleIpc = solo;
-        oc.keepCurves = true;
         OfflineExhaustive off(oc);
 
         SmtCpu cpu = makeCpu(w, rc);

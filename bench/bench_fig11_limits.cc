@@ -28,10 +28,8 @@ main()
     banner("Figure 11: HILL-WIPC vs ideal learners");
 
     RunConfig rc = benchRunConfig(8);
-    const int stride =
-        static_cast<int>(envScale("SMTHILL_OFFLINE_STRIDE", 16));
-    const int iters =
-        static_cast<int>(envScale("SMTHILL_RANDHILL_ITERS", 24));
+    const int stride = envPositiveInt("SMTHILL_OFFLINE_STRIDE", 16);
+    const int iters = envPositiveInt("SMTHILL_RANDHILL_ITERS", 24);
 
     // ---- top: 2-thread, HILL vs OFF-LINE -------------------------
     // Both halves fan their workload cells across rc.jobs threads;

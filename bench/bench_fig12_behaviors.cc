@@ -94,8 +94,7 @@ main()
         }
 
         OfflineConfig oc;
-        oc.stride =
-            static_cast<int>(envScale("SMTHILL_OFFLINE_STRIDE", 16));
+        oc.stride = envPositiveInt("SMTHILL_OFFLINE_STRIDE", 16);
         oc.metric = PerfMetric::WeightedIpc;
         oc.singleIpc = solo;
 

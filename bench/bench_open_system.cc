@@ -92,7 +92,7 @@ main()
 
     OpenSystemConfig base;
     base.seed = envScale("SMTHILL_SEED", 1);
-    base.numJobs = static_cast<int>(envScale("SMTHILL_OS_JOBS", 12));
+    base.numJobs = envPositiveInt("SMTHILL_OS_JOBS", 12);
     base.minJobInstructions = 20'000;
     base.maxJobInstructions = 60'000;
     base.epochSize = rc.epochSize;

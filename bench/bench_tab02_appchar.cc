@@ -13,12 +13,14 @@
 #include <cstdio>
 #include <vector>
 
+#include "bench_common.hh"
 #include "harness/runner.hh"
 #include "harness/table.hh"
 #include "pipeline/cpu.hh"
 #include "trace/spec_profiles.hh"
 
 using namespace smthill;
+using namespace smthill::benchutil;
 
 namespace
 {
@@ -64,8 +66,7 @@ main()
     banner("Table 2: per-benchmark resource requirement (Rsc) and "
            "time variation (Freq)");
 
-    const int var_epochs =
-        static_cast<int>(envScale("SMTHILL_VAR_EPOCHS", 8));
+    const int var_epochs = envPositiveInt("SMTHILL_VAR_EPOCHS", 8);
     const Cycle epoch = 64 * 1024;
 
     Table t({"app", "type", "cat", "Rsc(paper)", "Rsc(model)",

@@ -50,11 +50,7 @@ ThreadPool::~ThreadPool()
 void
 ThreadPool::enqueue(std::function<void()> task)
 {
-    if (workers.empty()) {
-        tasksStat.inc();
-        task();
-        return;
-    }
+    // Only a concurrent parallelForWorker enqueues, so workers exist.
     {
         std::lock_guard<std::mutex> lock(queueMutex);
         // Queue growth is amortized and bounded by outstanding tasks

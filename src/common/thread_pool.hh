@@ -2,10 +2,11 @@
  * @file
  * Fixed-size worker thread pool for trial-level parallelism.
  *
- * The simulator's expensive fan-outs — OFF-LINE exhaustive trial
- * epochs, RAND-HILL round trials, and workload x policy bench grids —
- * are embarrassingly parallel: every task is a pure function of a
- * value-copied machine checkpoint. The pool runs such index-addressed
+ * The simulator's expensive fan-outs — the OFF-LINE and RAND-HILL
+ * trial sweeps (MachineArena::sweep) and the workload x policy bench
+ * grids (runGrid) — are embarrassingly parallel: every task is a pure
+ * function of a machine checkpoint it only reads. parallelFor /
+ * parallelForWorker, the pool's only way in, run such index-addressed
  * task sets across a fixed set of workers while keeping results
  * ordered by index, so callers can reduce them in exactly the order
  * the serial code would have produced.
@@ -18,10 +19,11 @@
  * (the exact legacy serial execution).
  *
  * No nested pools: a parallelFor issued from inside a pool task (a
- * task body, a parallelFor index on a concurrent lane, or a submit
- * task) runs inline on that lane, and a pool constructed there spawns
- * no threads. Grid cells that build learners or solo references with
- * the grid's own job count therefore never multiply the thread count.
+ * parallelFor index on a pool thread or on a caller draining a
+ * concurrent fan-out) runs inline on that lane, and a pool
+ * constructed there spawns no threads. Grid cells that build
+ * learners or solo references with the grid's own job count
+ * therefore never multiply the thread count.
  */
 
 #ifndef SMTHILL_COMMON_THREAD_POOL_HH
@@ -30,7 +32,6 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -52,7 +53,7 @@ class ThreadPool
      * @param jobs total concurrency including the calling thread;
      *        clamped to >= 1. jobs == 1, or construction from inside
      *        a pool task, spawns no workers and makes every
-     *        parallelFor/submit run inline on the caller; jobs()
+     *        parallelFor run inline on the caller; jobs()
      *        still reports the clamped value, so per-worker scratch
      *        sized by it stays valid.
      */
@@ -89,22 +90,6 @@ class ThreadPool
     void parallelForWorker(
         std::size_t n,
         const std::function<void(std::size_t, int)> &body);
-
-    /**
-     * Run one task asynchronously; @return a future for its result.
-     * With jobs == 1 the task runs inline before submit returns.
-     */
-    template <typename F>
-    auto
-    submit(F &&task) -> std::future<std::invoke_result_t<F>>
-    {
-        using R = std::invoke_result_t<F>;
-        auto packaged = std::make_shared<std::packaged_task<R()>>(
-            std::forward<F>(task));
-        std::future<R> fut = packaged->get_future();
-        enqueue([packaged] { (*packaged)(); });
-        return fut;
-    }
 
     /**
      * Concurrency to use when the caller does not specify one:

@@ -1,9 +1,28 @@
 #include "core/machine_arena.hh"
 
 #include "common/log.hh"
+#include "common/profile.hh"
 
 namespace smthill
 {
+
+IpcSample
+runTrialEpoch(SmtCpu &trial, const Partition &partition, Cycle epoch_size)
+{
+    SMTHILL_PROF_SCOPE("offline.trial_epoch");
+    trial.setPartition(partition);
+    auto before = trial.stats().committed;
+    trial.run(epoch_size);
+
+    IpcSample s;
+    s.numThreads = trial.numThreads();
+    for (int i = 0; i < s.numThreads; ++i) {
+        s.ipc[i] =
+            static_cast<double>(trial.stats().committed[i] - before[i]) /
+            static_cast<double>(epoch_size);
+    }
+    return s;
+}
 
 MachineArena::MachineArena(int workers)
     : machines(static_cast<std::size_t>(workers < 1 ? 1 : workers))
@@ -30,6 +49,29 @@ MachineArena::acquire(int worker, const SmtCpu &checkpoint)
     }
     m->restoreFrom(checkpoint);
     return *m;
+}
+
+void
+MachineArena::sweep(ThreadPool &pool, const SmtCpu &from,
+                    std::span<const Partition> trials, Cycle epoch_size,
+                    PerfMetric metric,
+                    const std::array<double, kMaxThreads> &single_ipc,
+                    std::uint64_t first_order, std::span<IpcSample> samples,
+                    std::span<double> metrics)
+{
+    if (samples.size() != trials.size() || metrics.size() != trials.size())
+        fatal(msg("MachineArena: sweep of ", trials.size(),
+                  " trials given ", samples.size(), " sample and ",
+                  metrics.size(), " metric slots"));
+    // Every trial is an independent function of @p from, so the
+    // trials fan out; each writes only its own slots, and the keeper
+    // resolves the winner by serial order, whatever the schedule.
+    pool.parallelForWorker(trials.size(), [&](std::size_t i, int worker) {
+        SmtCpu &trial = acquire(worker, from);
+        samples[i] = runTrialEpoch(trial, trials[i], epoch_size);
+        metrics[i] = evalMetric(metric, samples[i], single_ipc);
+        offerBest(worker, metrics[i], first_order + i);
+    });
 }
 
 void

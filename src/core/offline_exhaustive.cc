@@ -7,24 +7,6 @@ namespace smthill
 {
 
 IpcSample
-runTrialEpoch(SmtCpu &trial, const Partition &partition, Cycle epoch_size)
-{
-    SMTHILL_PROF_SCOPE("offline.trial_epoch");
-    trial.setPartition(partition);
-    auto before = trial.stats().committed;
-    trial.run(epoch_size);
-
-    IpcSample s;
-    s.numThreads = trial.numThreads();
-    for (int i = 0; i < s.numThreads; ++i) {
-        s.ipc[i] =
-            static_cast<double>(trial.stats().committed[i] - before[i]) /
-            static_cast<double>(epoch_size);
-    }
-    return s;
-}
-
-IpcSample
 runFixedPartitionEpoch(const SmtCpu &checkpoint, const Partition &partition,
                        Cycle epoch_size)
 {
@@ -66,51 +48,26 @@ OfflineExhaustive::stepEpoch(SmtCpu &cpu) const
         fatal("OfflineExhaustive: exhaustive search supports exactly "
               "2 hardware contexts (use RandHill for more)");
 
-    const int total = cpu.config().intRegs;
-
-    // Every trial is an independent function of the live machine,
-    // which the sweep only reads, so the sweep fans out across the
-    // pool. Results land in per-trial slots and are reduced below in
-    // enumeration order, making the chosen partition (first strict
-    // maximum, i.e. lowest share[0] among exact ties) bit-identical
-    // to the serial jobs=1 path; the arena keeps the same trial's
-    // machine under the same rule.
+    // The arena fans the trials out and keeps the first strict
+    // maximum in enumeration order (the lowest share[0] among exact
+    // ties) for every job count; its machine becomes the committed
+    // one, and only this epoch is charged to execution time.
     const std::vector<Partition> trials =
-        enumeratePartitions2(total, cfg.stride);
+        enumeratePartitions2(cpu.config().intRegs, cfg.stride);
     std::vector<IpcSample> samples(trials.size());
     std::vector<double> metrics(trials.size());
-    pool->parallelForWorker(trials.size(), [&](std::size_t i, int worker) {
-        // Restore the worker's warm machine instead of copy-
-        // constructing a fresh SmtCpu per trial.
-        SmtCpu &trial = arena->acquire(worker, cpu);
-        samples[i] = runTrialEpoch(trial, trials[i], cfg.epochSize);
-        metrics[i] = evalMetric(cfg.metric, samples[i], cfg.singleIpc);
-        arena->offerBest(worker, metrics[i], i);
-    });
+    arena->sweep(*pool, cpu, trials, cfg.epochSize, cfg.metric,
+                 cfg.singleIpc, 0, samples, metrics);
+    const auto best = static_cast<std::size_t>(arena->adoptBest(cpu));
 
     OfflineEpoch rec;
-    double best_metric = -1.0;
-    std::size_t best = 0;
-
-    for (std::size_t i = 0; i < trials.size(); ++i) {
-        if (cfg.keepCurves) {
-            // Diagnostic curves are opt-in (keepCurves) and amortized
-            // at one sample per trial; sweeps leave this off.
-            rec.curveShares.push_back(trials[i].share[0]); // smthill-lint: allow(hot-path-allocation)
-            rec.curve.push_back(metrics[i]); // smthill-lint: allow(hot-path-allocation)
-        }
-        if (metrics[i] > best_metric) {
-            best_metric = metrics[i];
-            best = i;
-        }
-    }
-    // Commit: the best trial's machine becomes the real one. Only
-    // this epoch is charged to execution time.
-    if (arena->adoptBest(cpu) != best)
-        panic("OfflineExhaustive: kept trial is not the serial best");
-    rec.ipc = samples[best];
     rec.best = trials[best];
-    rec.metricValue = best_metric;
+    rec.ipc = samples[best];
+    rec.metricValue = metrics[best];
+    rec.curveShares.resize(trials.size());
+    for (std::size_t i = 0; i < trials.size(); ++i)
+        rec.curveShares[i] = trials[i].share[0];
+    rec.curve = std::move(metrics);
     return rec;
 }
 
@@ -118,11 +75,9 @@ OfflineResult
 OfflineExhaustive::run(SmtCpu &cpu, int num_epochs) const
 {
     OfflineResult res;
-    // The preallocation itself: one reserve up front, then every
-    // per-epoch push_back lands in already-committed storage.
-    res.epochs.reserve(num_epochs); // smthill-lint: allow(hot-path-allocation)
+    res.epochs.reserve(num_epochs);
     for (int e = 0; e < num_epochs; ++e)
-        res.epochs.push_back(stepEpoch(cpu)); // smthill-lint: allow(hot-path-allocation)
+        res.epochs.push_back(stepEpoch(cpu));
     return res;
 }
 

@@ -40,17 +40,6 @@ IpcSample runFixedPartitionEpoch(const SmtCpu &checkpoint,
                                  const Partition &partition,
                                  Cycle epoch_size);
 
-/**
- * Measure one epoch on an already-restored trial machine (typically a
- * MachineArena machine just restored to the checkpoint): install the
- * partition, run @p epoch_size cycles, and return per-thread IPCs.
- * The machine is left in its end-of-epoch state, which a sweep may
- * keep as its committed machine. Bit-identical to the value-copy
- * path of runFixedPartitionEpoch.
- */
-IpcSample runTrialEpoch(SmtCpu &trial, const Partition &partition,
-                        Cycle epoch_size);
-
 /** OFF-LINE configuration. */
 struct OfflineConfig
 {
@@ -59,7 +48,6 @@ struct OfflineConfig
     PerfMetric metric = PerfMetric::WeightedIpc;
     /** Stand-alone IPCs (known a priori in the off-line setting). */
     std::array<double, kMaxThreads> singleIpc{};
-    bool keepCurves = false; ///< retain metric-vs-partition curves
     /**
      * Worker threads for the trial sweep; results are bit-identical
      * for every value (jobs == 1 is the exact serial path).
@@ -73,9 +61,16 @@ struct OfflineEpoch
     Partition best;        ///< chosen (best) partitioning
     IpcSample ipc;         ///< per-thread IPCs of the committed epoch
     double metricValue = 0.0;
-    /** share of thread 0 for each trial (when keepCurves). */
+    /**
+     * Share of thread 0 for each trial, in trial order (OFF-LINE;
+     * RAND-HILL leaves it empty).
+     */
     std::vector<int> curveShares;
-    /** metric of each trial (when keepCurves). */
+    /**
+     * Metric of each trial in serial order: OFF-LINE's enumeration
+     * order, RAND-HILL's iteration order. Always filled; the chosen
+     * trial is its first strict maximum.
+     */
     std::vector<double> curve;
 };
 

@@ -1,6 +1,7 @@
 #include "core/rand_hill.hh"
 
 #include <algorithm>
+#include <span>
 
 #include "common/log.hh"
 
@@ -55,58 +56,38 @@ RandHill::stepEpoch(SmtCpu &cpu)
 {
     const int nt = cpu.numThreads();
     const int total = cpu.config().intRegs;
+    const auto iterations = static_cast<std::size_t>(cfg.iterations);
 
     Partition anchor = Partition::equal(nt, total);
-    std::array<double, kMaxThreads> round_perf{};
     double pass_best = -1.0;
-
-    double global_best_metric = -1.0;
-    Partition global_best = anchor;
-    IpcSample global_best_ipc;
-    int global_best_iter = 0;
+    std::vector<Partition> trials(iterations);
+    std::vector<IpcSample> samples(iterations);
+    std::vector<double> metrics(iterations);
 
     // The climb proceeds round by round: each round's nt trials all
     // derive from the same anchor and from the live machine, which
-    // the search only reads (no RNG involved), so they fan out across
-    // the pool; the reduction, the anchor move, and any restart draw
-    // then happen serially in iteration order, which keeps every
-    // result — including the restart RNG sequence — bit-identical to
-    // the jobs=1 serial path. The arena keeps the best trial's
-    // machine under the same rule, ordered by iteration index.
+    // the search only reads (no RNG involved), so the arena fans them
+    // out; the anchor move and any restart draw then happen serially,
+    // which keeps every result — including the restart RNG sequence —
+    // bit-identical to the jobs=1 serial path. The arena keeps the
+    // first strict maximum in iteration order across all rounds.
     for (int round_start = 0; round_start < cfg.iterations;
          round_start += nt) {
         const int len = std::min(nt, cfg.iterations - round_start);
-
-        std::array<Partition, kMaxThreads> trials;
-        std::array<IpcSample, kMaxThreads> samples;
-        std::array<double, kMaxThreads> metrics{};
+        const auto first = static_cast<std::size_t>(round_start);
+        const auto round = static_cast<std::size_t>(len);
         for (int k = 0; k < len; ++k)
-            trials[k] =
+            trials[first + k] =
                 trialPartition(anchor, k, cfg.delta, cfg.minShare);
-        pool->parallelForWorker(
-            static_cast<std::size_t>(len), [&](std::size_t k, int worker) {
-                SmtCpu &trial = arena->acquire(worker, cpu);
-                samples[k] =
-                    runTrialEpoch(trial, trials[k], cfg.epochSize);
-                metrics[k] =
-                    evalMetric(cfg.metric, samples[k], cfg.singleIpc);
-                arena->offerBest(worker, metrics[k],
-                                 static_cast<std::uint64_t>(round_start) +
-                                     k);
-            });
-
-        for (int k = 0; k < len; ++k) {
-            round_perf[k] = metrics[k];
-            if (metrics[k] > global_best_metric) {
-                global_best_metric = metrics[k];
-                global_best = trials[k];
-                global_best_ipc = samples[k];
-                global_best_iter = round_start + k;
-            }
-        }
+        arena->sweep(*pool, cpu,
+                     std::span(trials).subspan(first, round),
+                     cfg.epochSize, cfg.metric, cfg.singleIpc, first,
+                     std::span(samples).subspan(first, round),
+                     std::span(metrics).subspan(first, round));
 
         if (len == nt) {
             // End of a full round: climb, or restart at a peak.
+            const double *round_perf = &metrics[first];
             int g = 0;
             for (int i = 1; i < nt; ++i)
                 if (round_perf[i] > round_perf[g])
@@ -125,13 +106,12 @@ RandHill::stepEpoch(SmtCpu &cpu)
     }
 
     // Commit: the best trial's machine becomes the real one.
-    if (arena->adoptBest(cpu) !=
-        static_cast<std::uint64_t>(global_best_iter))
-        panic("RandHill: kept trial is not the serial best");
+    const auto best = static_cast<std::size_t>(arena->adoptBest(cpu));
     OfflineEpoch rec;
-    rec.ipc = global_best_ipc;
-    rec.best = global_best;
-    rec.metricValue = global_best_metric;
+    rec.best = trials[best];
+    rec.ipc = samples[best];
+    rec.metricValue = metrics[best];
+    rec.curve = std::move(metrics);
     return rec;
 }
 

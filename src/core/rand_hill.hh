@@ -55,7 +55,8 @@ class RandHill
      * earliest (round, k) among ties) is kept and adopted rather
      * than re-simulated, rec.ipc is its sample, and the committed
      * epoch runs unobserved while @p cpu keeps its observers and
-     * event-trace links.
+     * event-trace links. rec.curve holds every iteration's metric
+     * in iteration order.
      */
     OfflineEpoch stepEpoch(SmtCpu &cpu);
 

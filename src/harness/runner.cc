@@ -252,10 +252,9 @@ soloIpcs(const Workload &workload, const RunConfig &config, Cycle cycles)
     // a benchmark named twice build once, whichever lane gets there
     // first, so hit/miss counts match the serial loop. One lane, or a
     // call from inside a pool task, runs inline in thread order.
-    const int threads = workload.numThreads();
     std::array<double, kMaxThreads> out{};
-    runGrid(static_cast<std::size_t>(threads),
-            std::min(config.jobs, threads), [&](std::size_t i) {
+    runGrid(static_cast<std::size_t>(workload.numThreads()), config.jobs,
+            [&](std::size_t i) {
                 out[i] = soloIpc(workload.benchmarks[i], config, cycles);
             });
     return out;
@@ -265,15 +264,19 @@ void
 runGrid(std::size_t cells, int jobs,
         const std::function<void(std::size_t)> &cell)
 {
-    ThreadPool pool(jobs);
-    pool.parallelFor(cells, cell);
+    runGridWorker(cells, jobs,
+                  [&cell](std::size_t i, int) { cell(i); });
 }
 
 void
 runGridWorker(std::size_t cells, int jobs,
               const std::function<void(std::size_t, int)> &cell)
 {
-    ThreadPool pool(jobs);
+    // A pool starts all its threads up front, so a lane beyond the
+    // cell count would only idle.
+    const std::size_t lanes =
+        std::min(static_cast<std::size_t>(jobs < 1 ? 1 : jobs), cells);
+    ThreadPool pool(static_cast<int>(lanes));
     pool.parallelForWorker(cells, cell);
 }
 

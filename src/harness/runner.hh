@@ -139,10 +139,11 @@ std::array<double, kMaxThreads> soloIpcs(const Workload &workload,
 
 /**
  * Parallel sweep entry point for bench grids and the CLI: run
- * @p cell(i) for every i in [0, cells) across @p jobs threads
- * (jobs <= 1 runs serially on the calling thread). Cells must be
- * independent: each writes only its own per-index output slot, which
- * the caller then reduces/prints in index order. Everything reachable
+ * @p cell(i) for every i in [0, cells) across min(@p jobs, cells)
+ * lanes, so no thread is started that could only idle (one lane runs
+ * serially on the calling thread). Cells must be independent: each
+ * writes only its own per-index output slot, which the caller then
+ * reduces/prints in index order. Everything reachable
  * from a cell (makeCpu/soloIpc caches, workload tables, profiles) is
  * thread-safe; policies and machines must be created inside the cell.
  */

@@ -93,7 +93,6 @@ traceHillVsOffline(SmtCpu cpu, HillClimbing &hill,
         fatal("traceHillVsOffline: 2-thread machines only");
 
     OfflineConfig oc = offline_config;
-    oc.keepCurves = true;
     oc.epochSize = hill.config().epochSize;
     OfflineExhaustive offline(oc);
 

@@ -1051,7 +1051,8 @@ passHotPathAllocation(ProjectModel &model, PassReporter &rep)
         if (!inDomain(fn))
             continue;
         if (fn.qual == "SmtCpu::step" || fn.qual == "SmtCpu::run" ||
-            fn.bare == "runTrialEpoch") {
+            fn.bare == "runTrialEpoch" ||
+            fn.qual == "MachineArena::sweep") {
             queue.push_back(i);
             visited.insert(i);
         }

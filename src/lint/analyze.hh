@@ -41,8 +41,9 @@
  *   - hot-path-allocation:   `new` / `make_unique` / container
  *                            growth / `std::function` construction
  *                            in functions reachable from
- *                            `SmtCpu::step` / `runTrialEpoch` in the
- *                            call graph (the reachability
+ *                            `SmtCpu::step` / `SmtCpu::run` /
+ *                            `runTrialEpoch` / `MachineArena::sweep`
+ *                            in the call graph (the reachability
  *                            generalization of the token-level
  *                            cpu-copy-hot-path rule)
  *   - stale-suppression:     an `// smthill-lint: allow(<rule>)`

@@ -473,6 +473,33 @@ raceCommit(FuzzResult &r, const char *stage, const std::string &who,
     }
 }
 
+/**
+ * The single-pick oracle: rec.curve holds one metric per trial, and
+ * the kept trial is its first strict maximum, in value and (where
+ * rec.curveShares names the trials) in partition.
+ * @return that maximum's index; @p trials if the curve is malformed
+ */
+std::size_t
+checkFirstMaximum(FuzzResult &r, const char *stage, const std::string &who,
+                  int epoch, const OfflineEpoch &rec, std::size_t trials)
+{
+    std::size_t first = 0;
+    for (std::size_t i = 1; i < rec.curve.size(); ++i)
+        if (rec.curve[i] > rec.curve[first])
+            first = i;
+    if (rec.curve.size() != trials || rec.metricValue != rec.curve[first] ||
+        (!rec.curveShares.empty() &&
+         rec.best.share[0] != rec.curveShares[first])) {
+        finding(r, stage, "kept_not_first_maximum",
+                msg(who, " epoch ", epoch, ": kept ", rec.best.str(),
+                    " scoring ", rec.metricValue, "; the ",
+                    rec.curve.size(), "-trial curve's first maximum is "
+                    "trial ", first));
+        return trials;
+    }
+    return first;
+}
+
 void
 stageOfflineJobs(const FuzzCase &c, FuzzResult &r, const SmtCpu &warm)
 {
@@ -485,7 +512,6 @@ stageOfflineJobs(const FuzzCase &c, FuzzResult &r, const SmtCpu &warm)
     oc.stride = c.offlineStride;
     oc.metric = c.hill.metric;
     oc.singleIpc.fill(1.0);
-    oc.keepCurves = true;
 
     oc.jobs = 1;
     OfflineExhaustive serial(oc);
@@ -506,6 +532,10 @@ stageOfflineJobs(const FuzzCase &c, FuzzResult &r, const SmtCpu &warm)
                    oc.epochSize);
         raceCommit(r, kStage, "OFF-LINE jobs=3", e, b, start_b, eb,
                    oc.epochSize);
+        const std::size_t trials =
+            enumeratePartitions2(c.machine.intRegs, oc.stride).size();
+        checkFirstMaximum(r, kStage, "OFF-LINE jobs=1", e, ea, trials);
+        checkFirstMaximum(r, kStage, "OFF-LINE jobs=3", e, eb, trials);
         if (!(ea.best == eb.best)) {
             finding(r, kStage, "best_partition",
                     msg("epoch ", e, ": 1-job best ", ea.best.str(),
@@ -562,6 +592,28 @@ stageCommitAdoption(const FuzzCase &c, FuzzResult &r, const SmtCpu &warm)
         const OfflineEpoch rec = rand_hill.stepEpoch(cpu);
         raceCommit(r, kStage, "RAND-HILL jobs=3", e, cpu, start, rec,
                    rc.epochSize);
+        const std::size_t first = checkFirstMaximum(
+            r, kStage, "RAND-HILL jobs=3", e, rec,
+            static_cast<std::size_t>(rc.iterations));
+        if (e != 0 || first == static_cast<std::size_t>(rc.iterations))
+            continue;
+        // The curve names no partitions, so check the first epoch's
+        // pick by stopping: a fresh learner that ends right after the
+        // first maximum climbs the same way, holds that trial as its
+        // unique best, and must commit the same machine. It runs on
+        // an arena machine restored to the epoch start.
+        RandHillConfig stopped = rc;
+        stopped.iterations = static_cast<int>(first) + 1;
+        MachineArena spare(1);
+        SmtCpu &want = spare.acquire(0, warm);
+        const OfflineEpoch wrec = RandHill(stopped).stepEpoch(want);
+        if (!(wrec.best == rec.best) || !(want.stats() == cpu.stats())) {
+            finding(r, kStage, "kept_not_first_maximum",
+                    msg("RAND-HILL jobs=3 epoch 0: kept ", rec.best.str(),
+                        ", but a learner stopped after the first maximum "
+                        "(iteration ", first, ") commits ",
+                        wrec.best.str()));
+        }
     }
 }
 

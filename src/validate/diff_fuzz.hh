@@ -25,7 +25,9 @@
  *     its kept best trial, must match a re-simulation of rec.best
  *     from a copy of the epoch-start machine in cycle, CpuStats,
  *     occupancy totals and MachineSnapshot, with rec.ipc equal to
- *     the re-simulated epoch's IPCs;
+ *     the re-simulated epoch's IPCs; rec.metricValue and rec.best
+ *     must be the first strict maximum of rec.curve (by
+ *     rec.curveShares);
  *  F. HillClimbing vs PhaseHillClimbing on phase-free streams must
  *     produce identical anchor trajectories and machine states (a
  *     single stable phase gives the phase learner nothing to reuse);
@@ -58,7 +60,10 @@
  *     cycle, CpuStats (partitionLockCycles and stalledCycles
  *     included), occupancy totals, and MachineSnapshot must match;
  *  J. commit adoption (runs right after E): RAND-HILL at jobs 3
- *     steps two epochs, each raced against a re-simulation as in E.
+ *     steps two epochs, each raced against a re-simulation as in E,
+ *     with rec.metricValue the first strict maximum of rec.curve;
+ *     on the first epoch a fresh learner stopped right after that
+ *     iteration must commit the same partition and machine.
  *
  * Failures come back as FuzzFindings tagged with their stage; a
  * failing case can be shrunk with minimizeFuzzCase, whose output is

@@ -246,6 +246,30 @@ TEST(AnalyzePasses, HotPathAllocationFlagAndPass)
                     .empty());
 }
 
+TEST(AnalyzePasses, HotPathAllocationRootsAtTheArenaSweep)
+{
+    // The trial sweep is a root of its own: an allocation in a
+    // helper only the sweep reaches is flagged, with the chain.
+    std::vector<Finding> fire = lint::analyzeUnits(
+        {{"src/core/machine_arena.cc",
+          "void\n"
+          "MachineArena::sweep(ThreadPool &pool)\n"
+          "{\n"
+          "    scoreTrial();\n"
+          "}\n"
+          "\n"
+          "void\n"
+          "scoreTrial()\n"
+          "{\n"
+          "    scores.push_back(0);\n"
+          "}\n"}});
+    expectOnlyRule(fire, "hot-path-allocation");
+    ASSERT_EQ(fire.size(), 1u);
+    EXPECT_NE(fire[0].message.find("MachineArena::sweep -> scoreTrial"),
+              std::string::npos)
+        << fire[0].message;
+}
+
 TEST(AnalyzePasses, HotPathDomainExcludesTestsAndValidate)
 {
     // The same growth shape outside the hot-path domain stays clean:

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -208,6 +211,41 @@ TEST(SoloIpcs, SameValuesAndCacheCountsAtEveryJobCount)
         }
         EXPECT_EQ(solo[3], 0.0);
     }
+}
+
+/** @return this process's live threads (entries of /proc/self/task). */
+std::size_t
+liveThreads()
+{
+    std::size_t n = 0;
+    for (const auto &task :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+        (void)task;
+        ++n;
+    }
+    return n;
+}
+
+/** @return the most live threads any cell of a 2-cell grid saw. */
+std::size_t
+twoCellGridThreads(int jobs)
+{
+    std::array<std::size_t, 2> seen{};
+    runGrid(2, jobs, [&](std::size_t cell) { seen[cell] = liveThreads(); });
+    return std::max(seen[0], seen[1]);
+}
+
+TEST(RunGrid, StartsNoMoreLanesThanCells)
+{
+    // A pool starts all its threads before the first cell runs, so
+    // a 2-cell grid at jobs=16 must run on as many threads as one at
+    // jobs=2, not fourteen more. (Comparing two grids, not a grid
+    // against the idle process, leaves out helper threads that a
+    // sanitizer runtime starts with the first pool thread.)
+    if (!std::filesystem::exists("/proc/self/task"))
+        GTEST_SKIP() << "no /proc/self/task on this platform";
+    const std::size_t two_lanes = twoCellGridThreads(2);
+    EXPECT_EQ(twoCellGridThreads(16), two_lanes);
 }
 
 TEST(SyncRunner, ComparesPoliciesFromSharedCheckpoints)

@@ -136,7 +136,6 @@ TEST(Integration, HillWidthsFromOfflineCurves)
     OfflineConfig oc;
     oc.epochSize = rc.epochSize;
     oc.stride = 16;
-    oc.keepCurves = true;
     OfflineExhaustive off(oc);
 
     SmtCpu cpu = makeCpu(workloadByName("art-mcf"), rc);

@@ -68,7 +68,6 @@ TEST(Offline, BestTrialIsMaxOfCurve)
 {
     SmtCpu cpu = testCpu();
     OfflineConfig oc = fastConfig();
-    oc.keepCurves = true;
     OfflineExhaustive off(oc);
     OfflineEpoch rec = off.stepEpoch(cpu);
     ASSERT_EQ(rec.curve.size(), 7u);
@@ -81,13 +80,28 @@ TEST(Offline, BestTrialIsMaxOfCurve)
     EXPECT_EQ(rec.curveShares[idx], rec.best.share[0]);
 }
 
+TEST(Offline, DefaultConfigReturnsCurves)
+{
+    // Curves need no opt-in: every epoch record carries one metric
+    // and one share per enumerated trial.
+    OfflineConfig oc;
+    oc.epochSize = 4096;
+    oc.stride = 32;
+    SmtCpu cpu = testCpu();
+    OfflineEpoch rec = OfflineExhaustive(oc).stepEpoch(cpu);
+    const std::vector<Partition> trials = enumeratePartitions2(256, 32);
+    ASSERT_EQ(rec.curve.size(), trials.size());
+    ASSERT_EQ(rec.curveShares.size(), trials.size());
+    for (std::size_t i = 0; i < trials.size(); ++i)
+        EXPECT_EQ(rec.curveShares[i], trials[i].share[0]);
+}
+
 TEST(Offline, ChosenEpochMatchesBestTrialPerformance)
 {
     // The committed epoch is the best trial itself, so the committed
     // IPCs must score the best trial's metric.
     SmtCpu cpu = testCpu();
     OfflineConfig oc = fastConfig();
-    oc.keepCurves = true;
     OfflineExhaustive off(oc);
     OfflineEpoch rec = off.stepEpoch(cpu);
     double m = evalMetric(oc.metric, rec.ipc, oc.singleIpc);

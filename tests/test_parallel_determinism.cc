@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "core/offline_exhaustive.hh"
@@ -89,7 +90,6 @@ TEST(ParallelDeterminism, OfflineIdenticalAcrossJobCounts)
     oc.epochSize = 8192;
     oc.stride = 16; // 15 trials per epoch
     oc.metric = PerfMetric::AvgIpc;
-    oc.keepCurves = true;
 
     OfflineConfig serial = oc;
     serial.jobs = 1;
@@ -117,7 +117,6 @@ TEST(ParallelDeterminism, OfflineTieBreakIsFirstMaximumInCurveOrder)
     oc.epochSize = 4096;
     oc.stride = 32;
     oc.metric = PerfMetric::AvgIpc;
-    oc.keepCurves = true;
     for (int jobs : {1, 8}) {
         oc.jobs = jobs;
         SmtCpu cpu = twoThreadCpu();
@@ -134,6 +133,50 @@ TEST(ParallelDeterminism, OfflineTieBreakIsFirstMaximumInCurveOrder)
         EXPECT_EQ(rec.best.share[0], rec.curveShares[first_max])
             << "jobs=" << jobs;
         EXPECT_EQ(rec.metricValue, rec.curve[first_max]);
+    }
+}
+
+TEST(ParallelDeterminism, RandHillTieBreakIsFirstMaximumInCurveOrder)
+{
+    // RAND-HILL keeps the first strict maximum in iteration order.
+    // Oracle: the climb only looks back, so a learner stopped right
+    // after that iteration tries the same partitions, holds that
+    // trial as its unique maximum, and must commit the same
+    // partition and machine — a later exact tie must not win. With
+    // delta 2 this climb scores several different partitions exactly
+    // the same as its first maximum.
+    RandHillConfig rh;
+    rh.epochSize = 4096;
+    rh.iterations = 16;
+    rh.delta = 2;
+    rh.metric = PerfMetric::AvgIpc;
+    rh.seed = 7;
+    for (int jobs : {1, 3}) {
+        rh.jobs = jobs;
+        SmtCpu cpu = fourThreadCpu();
+        SmtCpu stopped_cpu = cpu;
+        OfflineEpoch rec = RandHill(rh).stepEpoch(cpu);
+        ASSERT_EQ(rec.curve.size(),
+                  static_cast<std::size_t>(rh.iterations));
+        std::size_t first_max = 0;
+        for (std::size_t i = 1; i < rec.curve.size(); ++i)
+            if (rec.curve[i] > rec.curve[first_max])
+                first_max = i;
+        EXPECT_EQ(rec.metricValue, rec.curve[first_max]) << "jobs=" << jobs;
+        EXPECT_GT(std::count(rec.curve.begin(), rec.curve.end(),
+                             rec.curve[first_max]),
+                  1)
+            << "no later tie: the oracle cannot tell first from last";
+
+        RandHillConfig stopped = rh;
+        stopped.iterations = static_cast<int>(first_max) + 1;
+        OfflineEpoch want = RandHill(stopped).stepEpoch(stopped_cpu);
+        EXPECT_EQ(want.curve, std::vector<double>(
+                                  rec.curve.begin(),
+                                  rec.curve.begin() + stopped.iterations));
+        EXPECT_EQ(rec.best, want.best) << "jobs=" << jobs;
+        EXPECT_EQ(cpu.now(), stopped_cpu.now());
+        EXPECT_TRUE(cpu.stats() == stopped_cpu.stats()) << "jobs=" << jobs;
     }
 }
 

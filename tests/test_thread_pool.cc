@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the fixed-size worker thread pool: full index
- * coverage with ordered results, jobs=1 inline degeneracy,
- * deterministic exception propagation, and future-based submission.
+ * coverage with ordered results, jobs=1 inline degeneracy, and
+ * deterministic exception propagation.
  */
 
 #include <gtest/gtest.h>
@@ -128,24 +128,6 @@ TEST(ThreadPool, AllTasksFinishBeforeThrowingReturn)
         // touching caller-owned state.
         EXPECT_EQ(completed.load(), static_cast<int>(n) - 1);
     }
-}
-
-TEST(ThreadPool, SubmitReturnsFutureResults)
-{
-    ThreadPool pool(3);
-    std::vector<std::future<int>> futs;
-    for (int i = 0; i < 20; ++i)
-        futs.push_back(pool.submit([i] { return i * 3; }));
-    for (int i = 0; i < 20; ++i)
-        EXPECT_EQ(futs[static_cast<std::size_t>(i)].get(), i * 3);
-}
-
-TEST(ThreadPool, SubmitPropagatesExceptionThroughFuture)
-{
-    ThreadPool pool(2);
-    auto fut = pool.submit(
-        []() -> int { throw std::runtime_error("task failed"); });
-    EXPECT_THROW(fut.get(), std::runtime_error);
 }
 
 TEST(ThreadPool, DefaultJobsIsPositive)

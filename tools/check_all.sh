@@ -74,13 +74,15 @@ record tidy $?
 echo "== asan: address-sanitized fuzz smoke + tests =="
 # The ROADMAP's ASan suite regex (observability/export, churn,
 # bandit/RL, golden learner digests, run() fast-forward, commit
-# adoption, solo-reference fan-out, env knobs) plus the fuzz smoke.
+# adoption, solo-reference fan-out, env knobs, grid lane cap) plus
+# the fuzz smoke.
 ASAN_SUITES='Json|StatRegistry|EpochTracer|EventTrace|TraceReport'
 ASAN_SUITES="$ASAN_SUITES|MachineReport|Observability|Profile|Snapshot"
 ASAN_SUITES="$ASAN_SUITES|BenchDiff|HillMeasurement|HillBootstrap"
 ASAN_SUITES="$ASAN_SUITES|PartitionMoves|OpenSystem|HillClimbingChurn"
 ASAN_SUITES="$ASAN_SUITES|ChurnRefeasibility|Bandit|RlAlloc|LearnerGolden"
 ASAN_SUITES="$ASAN_SUITES|CpuFastForward|OfflineCommit|SoloIpcs|EnvScale"
+ASAN_SUITES="$ASAN_SUITES|RunGrid"
 stage_build "$SRC_DIR/build-asan" -DSMTHILL_SANITIZE=address &&
     (cd "$SRC_DIR/build-asan" &&
      ctest --output-on-failure -j "$JOBS" \
@@ -89,11 +91,12 @@ record asan $?
 
 echo "== tsan: thread-sanitized parallel suites =="
 # Offline|RandHill: the learners' best-trial keeper is shared by the
-# sweep's workers; SoloIpcs: the fanned-out solo references.
+# sweep's workers; SoloIpcs: the fanned-out solo references; RunGrid:
+# the grid's lane cap.
 stage_build "$SRC_DIR/build-tsan" -DSMTHILL_SANITIZE=thread &&
     (cd "$SRC_DIR/build-tsan" &&
      ctest --output-on-failure -j "$JOBS" \
-           -R 'ThreadPool|ParallelDeterminism|TsanFixture|FuzzSmoke|Offline|RandHill|SoloIpcs')
+           -R 'ThreadPool|ParallelDeterminism|TsanFixture|FuzzSmoke|Offline|RandHill|SoloIpcs|RunGrid')
 record tsan $?
 
 echo "== benchdiff: report-only perf diff vs the tracked baseline =="
