@@ -10,19 +10,15 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <limits>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/event_trace.hh"
-#include "common/json.hh"
 #include "common/log.hh"
 #include "common/profile.hh"
-#include "common/stat_registry.hh"
-#include "common/stat_snapshot.hh"
+#include "harness/artifacts.hh"
 #include "harness/runner.hh"
 
 namespace smthill::benchutil
@@ -88,6 +84,20 @@ envPositiveInt(const char *name, int def)
 }
 
 /**
+ * The OFF-LINE partition stride (SMTHILL_OFFLINE_STRIDE): @p def when
+ * unset, else a value in [1, half the int rename registers] (a wider
+ * stride leaves no two-thread split to try). Anything else is fatal
+ * and names the variable, before a solo reference is built.
+ */
+inline int
+offlineStride(const RunConfig &rc, int def)
+{
+    return static_cast<int>(
+        envScale("SMTHILL_OFFLINE_STRIDE", static_cast<std::uint64_t>(def),
+                 1, static_cast<std::uint64_t>(rc.machine.intRegs / 2)));
+}
+
+/**
  * Grid concurrency for benches: SMTHILL_JOBS pins it (CI sets 1 for
  * byte-stable logs), otherwise all hardware threads are used.
  */
@@ -143,73 +153,14 @@ profileJsonPath()
 }
 
 /**
- * Streaming snapshot sink over globalStats(): opens @p path and
- * emits one `smthill.snapshots.v1` row per sample() call; an empty
- * path makes every operation a no-op. sample() is thread-safe, so
- * grid cells can report completion from pool workers.
- */
-class SnapshotSink
-{
-  public:
-    explicit SnapshotSink(const std::string &path)
-    {
-        if (path.empty())
-            return;
-        out.open(path, std::ios::binary);
-        if (!out)
-            fatal(msg("cannot write '", path, "'"));
-        snap.emplace(globalStats());
-        snap->streamTo(&out);
-        file = path;
-    }
-
-    ~SnapshotSink()
-    {
-        if (!snap)
-            return;
-        snap->streamTo(nullptr);
-        if (!out)
-            fatal(msg("cannot write '", file, "'"));
-        std::printf("wrote %zu stat snapshots to %s\n",
-                    snap->rows().size(), file.c_str());
-    }
-
-    SnapshotSink(const SnapshotSink &) = delete;
-    SnapshotSink &operator=(const SnapshotSink &) = delete;
-
-    void
-    sample(std::uint64_t epoch, std::uint64_t cycle)
-    {
-        if (snap)
-            snap->sample(epoch, cycle);
-    }
-
-  private:
-    std::ofstream out;
-    std::optional<StatSnapshotter> snap;
-    std::string file;
-};
-
-/**
- * Write @p trace to @p path: a ".jsonl" extension selects the JSONL
- * stream form, anything else the Chrome trace-event / Perfetto JSON
- * document. When profiling is on, the collected host spans are
- * injected first as a second clock track. Fatal on I/O failure.
+ * Write @p trace to @p path (artifacts.hh: the extension picks the
+ * form, and the host spans ride along when profiling is on) and say
+ * so on stdout.
  */
 inline void
-writeEventTrace(EventTrace &trace, const std::string &path)
+exportEventTrace(EventTrace &trace, const std::string &path)
 {
-    SMTHILL_PROF_SCOPE("bench.export");
-    if (prof::profilingEnabled())
-        prof::appendHostSpans(trace);
-    bool as_jsonl =
-        path.size() >= 6 &&
-        path.compare(path.size() - 6, 6, ".jsonl") == 0;
-    std::ofstream out(path, std::ios::binary);
-    out << (as_jsonl ? trace.toJsonl()
-                     : trace.toPerfettoJson().dump(2) + "\n");
-    if (!out)
-        fatal(msg("cannot write '", path, "'"));
+    const bool as_jsonl = writeEventTrace(trace, path);
     std::printf("wrote %s event trace to %s (%zu events, %llu "
                 "dropped)\n",
                 as_jsonl ? "JSONL" : "Perfetto", path.c_str(),
@@ -217,33 +168,15 @@ writeEventTrace(EventTrace &trace, const std::string &path)
                 static_cast<unsigned long long>(trace.dropped()));
 }
 
-/**
- * Write @p doc to @p path, read the file back, and reparse it. The
- * caller re-derives its figure values from the returned document and
- * checks them against the stdout path, proving the export is a
- * faithful substitute for scraping the tables. Fatal on I/O or parse
- * failure.
- */
-inline Json
-writeAndReloadJson(const std::string &path, const Json &doc)
+/** Close @p snapshots and say how many rows went to SMTHILL_SNAPSHOTS. */
+inline void
+closeSnapshots(SnapshotSink &snapshots)
 {
-    SMTHILL_PROF_SCOPE("bench.export");
-    {
-        std::ofstream out(path, std::ios::binary);
-        out << doc.dump(2) << '\n';
-        if (!out)
-            fatal(msg("cannot write '", path, "'"));
-    }
-    std::ifstream in(path, std::ios::binary);
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    if (!in)
-        fatal(msg("cannot read back '", path, "'"));
-    Json reloaded;
-    std::string error;
-    if (!Json::parse(text, reloaded, error))
-        fatal(msg("export '", path, "' does not reparse: ", error));
-    return reloaded;
+    if (!snapshots.enabled())
+        return;
+    const std::size_t rows = snapshots.close();
+    std::printf("wrote %zu stat snapshots to %s\n", rows,
+                snapshotsPath().c_str());
 }
 
 /** Fatal unless @p a and @p b are bit-identical doubles. */
@@ -270,13 +203,7 @@ exportProfileIfEnabled()
     const prof::ProfileReport report = prof::profileReport();
     const std::string path = profileJsonPath();
     if (!path.empty()) {
-        Json reloaded =
-            writeAndReloadJson(path, prof::profileToJson(report));
-        prof::ProfileReport back;
-        std::string error;
-        if (!prof::profileFromJson(reloaded, back, error))
-            fatal(msg("profile export '", path,
-                      "' does not reload: ", error));
+        writeProfile(path, report);
         std::printf("wrote host profile to %s (%zu spans, "
                     "parallel_efficiency %.3f)\n",
                     path.c_str(), report.spans.size(),

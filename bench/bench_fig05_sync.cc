@@ -49,12 +49,12 @@ main()
            ")");
 
     RunConfig rc = benchRunConfig(24);
+    OfflineConfig oc;
+    oc.stride = offlineStride(rc, 16);
     const Workload &w = workloadByName(wname);
     auto solo = soloIpcs(w, rc, soloWindow(rc));
 
-    OfflineConfig oc;
     oc.epochSize = rc.epochSize;
-    oc.stride = envPositiveInt("SMTHILL_OFFLINE_STRIDE", 16);
     oc.singleIpc = solo;
     OfflineExhaustive off(oc);
 
@@ -130,6 +130,6 @@ main()
     }
 
     if (!trace_path.empty())
-        writeEventTrace(event_trace, trace_path);
+        exportEventTrace(event_trace, trace_path);
     return 0;
 }

@@ -30,7 +30,7 @@ main()
            "(averaged over epochs)");
 
     RunConfig rc = benchRunConfig(4);
-    const int stride = envPositiveInt("SMTHILL_OFFLINE_STRIDE", 8);
+    const int stride = offlineStride(rc, 8);
 
     Table t({"workload", "group", "w.99", "w.98", "w.97", "w.95", "w.90",
              "peak"});

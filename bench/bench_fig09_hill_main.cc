@@ -220,5 +220,6 @@ main()
                     export_path.c_str());
     }
     exportProfileIfEnabled();
+    closeSnapshots(snapshots);
     return 0;
 }

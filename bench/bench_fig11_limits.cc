@@ -28,7 +28,7 @@ main()
     banner("Figure 11: HILL-WIPC vs ideal learners");
 
     RunConfig rc = benchRunConfig(8);
-    const int stride = envPositiveInt("SMTHILL_OFFLINE_STRIDE", 16);
+    const int stride = offlineStride(rc, 16);
     const int iters = envPositiveInt("SMTHILL_RANDHILL_ITERS", 24);
 
     // ---- top: 2-thread, HILL vs OFF-LINE -------------------------

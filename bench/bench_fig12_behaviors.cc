@@ -62,6 +62,7 @@ main()
            "(HILL-WIPC vs per-epoch OFF-LINE map)");
 
     RunConfig rc = benchRunConfig(12);
+    const int stride = offlineStride(rc, 16);
 
     EventTrace event_trace;
     const std::string trace_path = eventTracePath();
@@ -94,7 +95,7 @@ main()
         }
 
         OfflineConfig oc;
-        oc.stride = envPositiveInt("SMTHILL_OFFLINE_STRIDE", 16);
+        oc.stride = stride;
         oc.metric = PerfMetric::WeightedIpc;
         oc.singleIpc = solo;
 
@@ -165,6 +166,6 @@ main()
     race.print();
 
     if (!trace_path.empty())
-        writeEventTrace(event_trace, trace_path);
+        exportEventTrace(event_trace, trace_path);
     return 0;
 }

@@ -170,7 +170,7 @@ main()
         EventTrace trace;
         trace.processName(1, "open-system HILL");
         sys.run(*policy, &trace, 1);
-        writeEventTrace(trace, trace_path);
+        exportEventTrace(trace, trace_path);
     }
 
     std::string stats_path = statsJsonPath();
@@ -215,5 +215,6 @@ main()
                     stats_path.c_str());
     }
     exportProfileIfEnabled();
+    closeSnapshots(snapshots);
     return 0;
 }

@@ -285,7 +285,7 @@ exportResults(const std::vector<CaptureReporter::Run> &runs,
         list.push(std::move(entry));
     }
     doc.set("benchmarks", std::move(list));
-    benchutil::writeAndReloadJson(path, doc);
+    writeAndReloadJson(path, doc);
     std::printf("exported %s\n", path.c_str());
 }
 

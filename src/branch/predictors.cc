@@ -76,12 +76,6 @@ GsharePredictor::predictAndShift(Addr pc)
     return pred;
 }
 
-bool
-GsharePredictor::peek(Addr pc) const
-{
-    return table[index(pc, ghr)] >= 2;
-}
-
 void
 GsharePredictor::update(Addr pc, std::uint64_t history_at_predict,
                         bool taken)
@@ -190,33 +184,6 @@ Btb::update(Addr pc, Addr target)
     v.tag = pc;
     v.target = target;
     v.lru = ++lruClock;
-}
-
-ReturnAddressStack::ReturnAddressStack(std::size_t entries)
-    : stack(entries, 0)
-{
-    if (entries == 0)
-        fatal("ReturnAddressStack: need at least one entry");
-}
-
-void
-ReturnAddressStack::push(Addr return_pc)
-{
-    top = (top + 1) % stack.size();
-    stack[top] = return_pc;
-    if (depth < stack.size())
-        ++depth;
-}
-
-Addr
-ReturnAddressStack::pop()
-{
-    if (depth == 0)
-        return 0;
-    Addr v = stack[top];
-    top = (top + stack.size() - 1) % stack.size();
-    --depth;
-    return v;
 }
 
 } // namespace smthill

@@ -1,10 +1,10 @@
 /**
  * @file
- * Branch prediction: 2-bit bimodal, gshare, hybrid (meta-chooser),
- * a set-associative BTB, and a return address stack, matching the
- * Table 1 configuration (hybrid 8192-entry gshare / 2048-entry
- * bimodal, 8192-entry meta table, 2048-entry 4-way BTB, 64-entry
- * RAS).
+ * Branch prediction: 2-bit bimodal, gshare, hybrid (meta-chooser)
+ * and a set-associative BTB, matching the Table 1 configuration
+ * (hybrid 8192-entry gshare / 2048-entry bimodal, 8192-entry meta
+ * table, 2048-entry 4-way BTB). Table 1's 64-entry RAS is not
+ * modelled: the synthetic streams have no call/return pairs.
  *
  * All predictors hold their tables by value so they are captured by
  * whole-machine checkpoints.
@@ -59,9 +59,6 @@ class GsharePredictor
 
     /** @return predicted direction; speculatively shifts history. */
     bool predictAndShift(Addr pc);
-
-    /** @return predicted direction without touching history. */
-    bool peek(Addr pc) const;
 
     /** Train the indexed entry with the resolved direction. */
     void update(Addr pc, std::uint64_t history_at_predict, bool taken);
@@ -155,23 +152,6 @@ class Btb
     std::size_t numWays;
     std::size_t setMask;
     std::uint32_t lruClock = 0;
-};
-
-/** Return address stack (wrap-around, no overflow checks needed). */
-class ReturnAddressStack
-{
-  public:
-    explicit ReturnAddressStack(std::size_t entries = 64);
-
-    void push(Addr return_pc);
-    Addr pop();
-    bool empty() const { return depth == 0; }
-    std::size_t size() const { return depth; }
-
-  private:
-    std::vector<Addr> stack;
-    std::size_t top = 0;
-    std::size_t depth = 0;
 };
 
 } // namespace smthill

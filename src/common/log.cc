@@ -21,12 +21,6 @@ fatal(const std::string &msg)
 }
 
 void
-warn(const std::string &msg)
-{
-    std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-void
 inform(const std::string &msg)
 {
     std::fprintf(stderr, "info: %s\n", msg.c_str());

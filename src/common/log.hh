@@ -1,8 +1,8 @@
 /**
  * @file
  * Error and status reporting in the gem5 tradition: panic() for
- * simulator bugs, fatal() for user errors, warn()/inform() for
- * non-fatal status messages.
+ * simulator bugs, fatal() for user errors, inform() for non-fatal
+ * status messages.
  */
 
 #ifndef SMTHILL_COMMON_LOG_HH
@@ -25,9 +25,6 @@ namespace smthill
  * input or configuration.
  */
 [[noreturn]] void fatal(const std::string &msg);
-
-/** Print a warning to stderr; simulation continues. */
-void warn(const std::string &msg);
 
 /** Print an informational message to stderr; simulation continues. */
 void inform(const std::string &msg);

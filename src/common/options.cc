@@ -55,13 +55,6 @@ OptionSet::addInt32(const std::string &name, int *target,
 }
 
 void
-OptionSet::addDouble(const std::string &name, double *target,
-                     const std::string &help)
-{
-    add(name, Kind::Double, target, help);
-}
-
-void
 OptionSet::addBool(const std::string &name, bool *target,
                    const std::string &help)
 {
@@ -118,15 +111,6 @@ OptionSet::set(const std::string &name, const std::string &value,
             return false;
         }
         *static_cast<int *>(opt.target) = static_cast<int>(v);
-        return true;
-      }
-      case Kind::Double: {
-        double v = std::strtod(value.c_str(), &end);
-        if (end == value.c_str() || *end != '\0') {
-            error = "bad number for '" + name + "': " + value;
-            return false;
-        }
-        *static_cast<double *>(opt.target) = v;
         return true;
       }
       case Kind::Bool: {

@@ -36,10 +36,6 @@ class OptionSet
     void addInt32(const std::string &name, int *target,
                   const std::string &help);
 
-    /** Bind a double-valued option to @p target. */
-    void addDouble(const std::string &name, double *target,
-                   const std::string &help);
-
     /** Bind a boolean option (accepts 0/1/true/false) to @p target. */
     void addBool(const std::string &name, bool *target,
                  const std::string &help);
@@ -83,7 +79,6 @@ class OptionSet
         Int64,
         Uint64,
         Int32,
-        Double,
         Bool,
         String
     };

@@ -275,12 +275,6 @@ profileToJson(const ProfileReport &report)
     return doc;
 }
 
-Json
-profileToJson()
-{
-    return profileToJson(profileReport());
-}
-
 bool
 profileFromJson(const Json &doc, ProfileReport &out, std::string &error)
 {

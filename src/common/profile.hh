@@ -107,9 +107,6 @@ ProfileReport profileReport();
 /** Serialize @p report as a `smthill.profile.v1` document. */
 Json profileToJson(const ProfileReport &report);
 
-/** Convenience: profileToJson(profileReport()). */
-Json profileToJson();
-
 /** @return false with @p error set unless @p doc is a valid v1 doc. */
 bool profileFromJson(const Json &doc, ProfileReport &out,
                      std::string &error);

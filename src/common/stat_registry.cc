@@ -1,116 +1,9 @@
 #include "common/stat_registry.hh"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/log.hh"
 
 namespace smthill
 {
-
-void
-StatDistribution::add(double v)
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    if (n == 0) {
-        lo = v;
-        hi = v;
-    } else {
-        lo = std::min(lo, v);
-        hi = std::max(hi, v);
-    }
-    ++n;
-    total += v;
-    totalSq += v * v;
-
-    // Strided reservoir for the quantile estimates: record every
-    // stride-th sample; when the reservoir fills, keep every other
-    // retained sample and double the stride. Fully deterministic, so
-    // two identical sample streams yield identical quantiles.
-    ++sinceLastSample;
-    if (sinceLastSample >= sampleStride) {
-        sinceLastSample = 0;
-        if (samples.size() >= kSampleCap) {
-            for (std::size_t i = 0; 2 * i < samples.size(); ++i)
-                samples[i] = samples[2 * i];
-            samples.resize((samples.size() + 1) / 2);
-            sampleStride *= 2;
-        }
-        samples.push_back(v);
-    }
-}
-
-double
-StatDistribution::quantile(double q) const
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    if (samples.empty())
-        return 0.0;
-    if (q < 0.0)
-        q = 0.0;
-    if (q > 1.0)
-        q = 1.0;
-    std::vector<double> sorted = samples;
-    std::sort(sorted.begin(), sorted.end());
-    auto idx = static_cast<std::size_t>(
-        q * static_cast<double>(sorted.size() - 1) + 0.5);
-    if (idx >= sorted.size())
-        idx = sorted.size() - 1;
-    return sorted[idx];
-}
-
-std::uint64_t
-StatDistribution::count() const
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    return n;
-}
-
-double
-StatDistribution::mean() const
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    return n == 0 ? 0.0 : total / static_cast<double>(n);
-}
-
-double
-StatDistribution::min() const
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    return n == 0 ? 0.0 : lo;
-}
-
-double
-StatDistribution::max() const
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    return n == 0 ? 0.0 : hi;
-}
-
-double
-StatDistribution::stddev() const
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    if (n == 0)
-        return 0.0;
-    double m = total / static_cast<double>(n);
-    double var = totalSq / static_cast<double>(n) - m * m;
-    return var > 0.0 ? std::sqrt(var) : 0.0;
-}
-
-void
-StatDistribution::reset()
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    n = 0;
-    total = 0.0;
-    totalSq = 0.0;
-    lo = 0.0;
-    hi = 0.0;
-    samples.clear();
-    sampleStride = 1;
-    sinceLastSample = 0;
-}
 
 StatRegistry::Node &
 StatRegistry::lookup(const std::string &name, Kind kind)
@@ -123,8 +16,8 @@ StatRegistry::lookup(const std::string &name, Kind kind)
                       "' already registered with a different kind"));
         return *it->second;
     }
-    // Nodes hold atomics and a mutex (non-movable), so they are
-    // constructed in place; deque storage never relocates them.
+    // Nodes hold atomics (non-movable), so they are constructed in
+    // place; deque storage never relocates them.
     Node &node = nodes.emplace_back();
     node.name = name;
     node.kind = kind;
@@ -144,12 +37,6 @@ StatRegistry::gauge(const std::string &name)
     return lookup(name, Kind::Gauge).gauge;
 }
 
-StatDistribution &
-StatRegistry::distribution(const std::string &name)
-{
-    return lookup(name, Kind::Distribution).dist;
-}
-
 Json
 StatRegistry::toJson() const
 {
@@ -163,18 +50,6 @@ StatRegistry::toJson() const
           case Kind::Gauge:
             out.set(node.name, Json(node.gauge.value()));
             break;
-          case Kind::Distribution: {
-            Json d = Json::object();
-            d.set("count", Json(node.dist.count()));
-            d.set("mean", Json(node.dist.mean()));
-            d.set("min", Json(node.dist.min()));
-            d.set("p50", Json(node.dist.p50()));
-            d.set("p95", Json(node.dist.p95()));
-            d.set("max", Json(node.dist.max()));
-            d.set("stddev", Json(node.dist.stddev()));
-            out.set(node.name, std::move(d));
-            break;
-          }
         }
     }
     return out;
@@ -204,27 +79,6 @@ StatRegistry::gaugeValues() const
     return out;
 }
 
-std::vector<StatRegistry::DistSummary>
-StatRegistry::distributionValues() const
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    std::vector<DistSummary> out;
-    for (const Node &node : nodes) {
-        if (node.kind != Kind::Distribution)
-            continue;
-        DistSummary s;
-        s.name = node.name;
-        s.count = node.dist.count();
-        s.mean = node.dist.mean();
-        s.min = node.dist.min();
-        s.p50 = node.dist.p50();
-        s.p95 = node.dist.p95();
-        s.max = node.dist.max();
-        out.push_back(std::move(s));
-    }
-    return out;
-}
-
 std::vector<std::string>
 StatRegistry::names() const
 {
@@ -243,7 +97,6 @@ StatRegistry::resetValues()
     for (Node &node : nodes) {
         node.counter.reset();
         node.gauge.reset();
-        node.dist.reset();
     }
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Named-statistic registry: counters, gauges, and distributions that
- * any subsystem can register and update cheaply on a hot path, with a
+ * Named-statistic registry: counters and gauges that any subsystem
+ * can register and update cheaply on a hot path, with a
  * machine-readable JSON export.
  *
  * Design constraints, in order:
@@ -53,66 +53,16 @@ class StatCounter
     std::atomic<std::uint64_t> val{0};
 };
 
-/** Instantaneous level (queue depth, estimate state); set/add. */
+/** Instantaneous level (queue depth, estimate state). */
 class StatGauge
 {
   public:
     void set(double v) { val.store(v, std::memory_order_relaxed); }
-    void add(double d)
-    {
-        // Relaxed CAS loop: gauges are low-frequency relative to
-        // counters and tolerate no lost updates.
-        double cur = val.load(std::memory_order_relaxed);
-        while (!val.compare_exchange_weak(cur, cur + d,
-                                          std::memory_order_relaxed)) {
-        }
-    }
     double value() const { return val.load(std::memory_order_relaxed); }
     void reset() { val.store(0.0, std::memory_order_relaxed); }
 
   private:
     std::atomic<double> val{0.0};
-};
-
-/**
- * Sample stream summarized as count/mean/min/max/stddev plus
- * deterministic quantile estimates (p50/p95). Quantiles come from a
- * bounded sample reservoir decimated by doubling the keep-stride
- * whenever it fills — no randomness, so replays and clones agree
- * exactly. Below kSampleCap samples the quantiles are exact
- * (nearest-rank); beyond that they are estimates over an evenly
- * strided subset.
- */
-class StatDistribution
-{
-  public:
-    void add(double v);
-
-    std::uint64_t count() const;
-    double mean() const;
-    double min() const;
-    double max() const;
-    double stddev() const;
-
-    /** Nearest-rank quantile of the retained samples; 0 when empty. */
-    double quantile(double q) const;
-    double p50() const { return quantile(0.5); }
-    double p95() const { return quantile(0.95); }
-
-    void reset();
-
-    static constexpr std::size_t kSampleCap = 2048;
-
-  private:
-    mutable std::mutex mutex;
-    std::uint64_t n = 0;
-    double total = 0.0;
-    double totalSq = 0.0;
-    double lo = 0.0;
-    double hi = 0.0;
-    std::vector<double> samples;       ///< strided quantile reservoir
-    std::uint64_t sampleStride = 1;    ///< record every stride-th add
-    std::uint64_t sinceLastSample = 0;
 };
 
 /**
@@ -130,12 +80,10 @@ class StatRegistry
     /** Find-or-create; the reference stays valid forever. */
     StatCounter &counter(const std::string &name);
     StatGauge &gauge(const std::string &name);
-    StatDistribution &distribution(const std::string &name);
 
     /**
      * Export every stat as one JSON object keyed by name:
-     * counters as integers, gauges as doubles, distributions as
-     * {count, mean, min, p50, p95, max, stddev} objects.
+     * counters as integers, gauges as doubles.
      */
     Json toJson() const;
 
@@ -144,18 +92,6 @@ class StatRegistry
 
     // --- Typed enumeration (periodic snapshots) --------------------
 
-    /** Distribution summary row for snapshot export. */
-    struct DistSummary
-    {
-        std::string name;
-        std::uint64_t count = 0;
-        double mean = 0.0;
-        double min = 0.0;
-        double p50 = 0.0;
-        double p95 = 0.0;
-        double max = 0.0;
-    };
-
     /** (name, value) of every counter, registration order. */
     std::vector<std::pair<std::string, std::uint64_t>>
     counterValues() const;
@@ -163,18 +99,14 @@ class StatRegistry
     /** (name, value) of every gauge, registration order. */
     std::vector<std::pair<std::string, double>> gaugeValues() const;
 
-    /** Summary of every distribution, registration order. */
-    std::vector<DistSummary> distributionValues() const;
-
-    /** Reset counters/gauges to zero and drop distribution samples. */
+    /** Reset counters and gauges to zero. */
     void resetValues();
 
   private:
     enum class Kind
     {
         Counter,
-        Gauge,
-        Distribution
+        Gauge
     };
 
     struct Node
@@ -183,7 +115,6 @@ class StatRegistry
         Kind kind = Kind::Counter;
         StatCounter counter;
         StatGauge gauge;
-        StatDistribution dist;
     };
 
     Node &lookup(const std::string &name, Kind kind);

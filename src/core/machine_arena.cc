@@ -13,15 +13,8 @@ runTrialEpoch(SmtCpu &trial, const Partition &partition, Cycle epoch_size)
     trial.setPartition(partition);
     auto before = trial.stats().committed;
     trial.run(epoch_size);
-
-    IpcSample s;
-    s.numThreads = trial.numThreads();
-    for (int i = 0; i < s.numThreads; ++i) {
-        s.ipc[i] =
-            static_cast<double>(trial.stats().committed[i] - before[i]) /
-            static_cast<double>(epoch_size);
-    }
-    return s;
+    return committedIpc(before, trial.stats().committed,
+                        trial.numThreads(), epoch_size);
 }
 
 MachineArena::MachineArena(int workers)

@@ -17,6 +17,20 @@ metricName(PerfMetric metric)
     return "?";
 }
 
+IpcSample
+committedIpc(const std::array<std::uint64_t, kMaxThreads> &before,
+             const std::array<std::uint64_t, kMaxThreads> &after,
+             int num_threads, Cycle cycles)
+{
+    IpcSample s;
+    s.numThreads = num_threads;
+    for (int i = 0; i < num_threads; ++i) {
+        s.ipc[i] = static_cast<double>(after[i] - before[i]) /
+                   static_cast<double>(cycles);
+    }
+    return s;
+}
+
 double
 evalMetric(PerfMetric metric, const IpcSample &sample,
            const std::array<double, kMaxThreads> &single_ipc)
@@ -55,14 +69,6 @@ evalMetric(PerfMetric metric, const IpcSample &sample,
       }
     }
     return 0.0;
-}
-
-double
-evalMetric(PerfMetric metric, const IpcSample &sample)
-{
-    std::array<double, kMaxThreads> ones;
-    ones.fill(1.0);
-    return evalMetric(metric, sample, ones);
 }
 
 double

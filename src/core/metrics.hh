@@ -11,6 +11,7 @@
 #define SMTHILL_CORE_METRICS_HH
 
 #include <array>
+#include <cstdint>
 #include <string>
 
 #include "memory/hierarchy.hh" // kMaxThreads
@@ -37,6 +38,15 @@ struct IpcSample
 };
 
 /**
+ * Per-thread IPC of one interval: each of the first @p num_threads
+ * threads' committed instructions (@p after - @p before) over
+ * @p cycles.
+ */
+IpcSample committedIpc(const std::array<std::uint64_t, kMaxThreads> &before,
+                       const std::array<std::uint64_t, kMaxThreads> &after,
+                       int num_threads, Cycle cycles);
+
+/**
  * Evaluate @p metric for @p sample.
  * @param single_ipc per-thread stand-alone IPCs; entries <= 0 are
  *        treated as 1.0 (i.e., unnormalized) so learners can operate
@@ -44,9 +54,6 @@ struct IpcSample
  */
 double evalMetric(PerfMetric metric, const IpcSample &sample,
                   const std::array<double, kMaxThreads> &single_ipc);
-
-/** Convenience: evaluate with all SingleIPCs = 1. */
-double evalMetric(PerfMetric metric, const IpcSample &sample);
 
 /**
  * Evaluate @p metric over the active subset of @p sample only

@@ -10,7 +10,9 @@ namespace smthill
 std::vector<Partition> enumeratePartitions2(int total, int stride)
 {
     if (stride < 1 || total < 2 * stride)
-        fatal("enumeratePartitions2: bad stride/total");
+        fatal(msg("enumeratePartitions2: bad stride ", stride,
+                  " for total ", total,
+                  " (need 1 <= stride <= total / 2)"));
     std::vector<Partition> out;
     for (int a = stride; a <= total - stride; a += stride) {
         Partition p;

@@ -102,16 +102,6 @@ buildReport(const MachineSnapshot &before, const MachineSnapshot &after,
 }
 
 MachineReport
-runAndReport(SmtCpu &cpu, Cycle cycles,
-             const std::vector<std::string> &labels)
-{
-    MachineSnapshot before = MachineSnapshot::capture(cpu);
-    cpu.run(cycles);
-    MachineSnapshot after = MachineSnapshot::capture(cpu);
-    return buildReport(before, after, labels);
-}
-
-MachineReport
 buildJobReport(const OpenSystemResult &result)
 {
     MachineReport rep;

@@ -89,10 +89,6 @@ MachineReport buildReport(const MachineSnapshot &before,
                           const MachineSnapshot &after,
                           const std::vector<std::string> &labels = {});
 
-/** Convenience: snapshot, run @p cycles, report. */
-MachineReport runAndReport(SmtCpu &cpu, Cycle cycles,
-                           const std::vector<std::string> &labels = {});
-
 /**
  * Build a report with one row per *job* from an open-system run.
  * Hardware contexts are reused across job lifetimes and their

@@ -143,14 +143,8 @@ runOneEpoch(SmtCpu &cpu, ResourcePolicy &policy, Cycle epoch_size)
     } else {
         cpu.run(epoch_size);
     }
-    IpcSample s;
-    s.numThreads = cpu.numThreads();
-    for (int i = 0; i < s.numThreads; ++i) {
-        s.ipc[i] =
-            static_cast<double>(cpu.stats().committed[i] - before[i]) /
-            static_cast<double>(epoch_size);
-    }
-    return s;
+    return committedIpc(before, cpu.stats().committed, cpu.numThreads(),
+                        epoch_size);
 }
 
 RunResult
@@ -183,14 +177,9 @@ runPolicyOn(SmtCpu cpu, ResourcePolicy &policy, int epochs,
             on_epoch(e, cpu);
     }
 
-    Cycle elapsed = cpu.now() - start_cycle;
-    res.overallIpc.numThreads = cpu.numThreads();
-    for (int i = 0; i < cpu.numThreads(); ++i) {
-        res.overallIpc.ipc[i] =
-            static_cast<double>(cpu.stats().committed[i] -
-                                start_committed[i]) /
-            static_cast<double>(elapsed);
-    }
+    res.overallIpc = committedIpc(start_committed, cpu.stats().committed,
+                                  cpu.numThreads(),
+                                  cpu.now() - start_cycle);
     res.stats = cpu.stats();
     res.finalSnapshot = MachineSnapshot::capture(cpu);
     return res;

@@ -74,20 +74,6 @@ Table::print() const
         print_row(row);
 }
 
-void
-Table::printCsv() const
-{
-    auto print_row = [](const std::vector<std::string> &row) {
-        for (std::size_t c = 0; c < row.size(); ++c)
-            std::printf("%s%s", row[c].c_str(),
-                        c + 1 < row.size() ? "," : "");
-        std::printf("\n");
-    };
-    print_row(headers);
-    for (const auto &row : rows)
-        print_row(row);
-}
-
 std::string
 fmt(double value, int precision)
 {

@@ -35,9 +35,6 @@ class Table
     /** Print the table to stdout. */
     void print() const;
 
-    /** Write the table as CSV to stdout. */
-    void printCsv() const;
-
     std::size_t numRows() const { return rows.size(); }
 
   private:

@@ -485,8 +485,7 @@ extractStats(const ProjectModel::File &f,
         if (isIdent(toks, i, "globalStats") && isPunct(toks, i + 1, '(') &&
             isPunct(toks, i + 2, ')') && isPunct(toks, i + 3, '.') &&
             (isIdent(toks, i + 4, "counter") ||
-             isIdent(toks, i + 4, "gauge") ||
-             isIdent(toks, i + 4, "distribution")) &&
+             isIdent(toks, i + 4, "gauge")) &&
             isPunct(toks, i + 5, '(') && i + 6 < toks.size() &&
             toks[i + 6].kind == TokKind::String &&
             statNameShaped(toks[i + 6].text)) {

@@ -75,12 +75,6 @@ isIdentChar(char c)
 
 } // namespace
 
-bool
-LexedFile::suppressed(const std::string &rule, int line) const
-{
-    return allowLineFor(rule, line) != 0;
-}
-
 int
 LexedFile::allowLineFor(const std::string &rule, int line) const
 {

@@ -466,12 +466,11 @@ FileScanner::checkCpuCopyIdent(std::size_t i)
 void
 FileScanner::checkStatRegistration(std::size_t i)
 {
-    // globalStats().counter("name") / .gauge / .distribution
+    // globalStats().counter("name") / .gauge
     if (!isIdent(i, "globalStats") || !isPunct(i + 1, '(') ||
         !isPunct(i + 2, ')') || !isPunct(i + 3, '.'))
         return;
-    if (!isIdent(i + 4, "counter") && !isIdent(i + 4, "gauge") &&
-        !isIdent(i + 4, "distribution"))
+    if (!isIdent(i + 4, "counter") && !isIdent(i + 4, "gauge"))
         return;
     if (!isPunct(i + 5, '('))
         return;
@@ -783,9 +782,7 @@ schemaCatalog()
          {"common/stat_snapshot.cc"},
          {
              "schema",   "seq",     "epoch",  "cycle",
-             "counters", "gauges",  "dists",  "count",
-             "mean",     "min",     "p50",    "p95",
-             "max",
+             "counters", "gauges",
          }},
         // smthill.lint.v1 (lint/lint.hh): findings documents from
         // both smthill_lint and smthill_analyze, including the

@@ -99,11 +99,4 @@ Cache::probe(Addr addr) const
     return false;
 }
 
-void
-Cache::flushAll()
-{
-    for (Line &line : lines)
-        line = Line{};
-}
-
 } // namespace smthill

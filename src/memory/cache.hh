@@ -53,9 +53,6 @@ class Cache
     /** @return true if the line containing @p addr is resident. */
     bool probe(Addr addr) const;
 
-    /** Invalidate everything (tests / reset). */
-    void flushAll();
-
     const CacheConfig &config() const { return cfg; }
     std::uint64_t numSets() const { return sets; }
 

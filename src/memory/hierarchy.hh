@@ -2,8 +2,9 @@
  * @file
  * The three-level memory system of Table 1: per-core IL1 and DL1,
  * a unified L2, and a fixed-latency DRAM model (300-cycle first
- * chunk, 6-cycle inter-chunk). Accesses return the latency to the
- * critical word and the level that serviced them.
+ * chunk). Table 1's +6-cycle inter-chunk term is not modelled: an
+ * access waits for its critical word only. Accesses return that
+ * latency and the level that serviced them.
  */
 
 #ifndef SMTHILL_MEMORY_HIERARCHY_HH
@@ -30,8 +31,6 @@ struct MemoryConfig
     Cycle l1Latency = 1;
     Cycle l2Latency = 20;
     Cycle memFirstChunk = 300;
-    Cycle memInterChunk = 6;
-    std::uint32_t chunkBytes = 8;
 
     auto operator<=>(const MemoryConfig &) const = default;
 };
@@ -89,7 +88,7 @@ class MemoryHierarchy
     }
 
   private:
-    /** Latency of a full line fill from DRAM (critical word first). */
+    /** DRAM latency to the critical word (the first chunk). */
     Cycle memLatency() const { return cfg.memFirstChunk; }
 
     MemoryConfig cfg;

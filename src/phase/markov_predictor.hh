@@ -40,8 +40,6 @@ class MarkovPhasePredictor
     /** Fraction of predictions that matched the next observation. */
     double accuracy() const;
 
-    std::uint64_t predictions() const { return total; }
-
   private:
     struct Entry
     {

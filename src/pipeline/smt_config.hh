@@ -62,7 +62,6 @@ struct SmtConfig
     std::size_t metaEntries = 8192;
     std::size_t btbEntries = 2048;
     std::size_t btbWays = 4;
-    std::size_t rasEntries = 64;
 
     MemoryConfig mem;
 

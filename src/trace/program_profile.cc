@@ -20,15 +20,6 @@ ProgramProfile::blockPc(std::uint32_t block_id) const
     return pc;
 }
 
-std::uint64_t
-ProgramProfile::codeBytes() const
-{
-    std::uint64_t bytes = 0;
-    for (const auto &b : blocks)
-        bytes += (b.length + 1) * 4;
-    return bytes;
-}
-
 void
 ProgramProfile::validate() const
 {

@@ -102,9 +102,6 @@ struct ProgramProfile
     /** @return address of the first instruction of a block. */
     Addr blockPc(std::uint32_t block_id) const;
 
-    /** @return total static code footprint in bytes. */
-    std::uint64_t codeBytes() const;
-
     /** Abort if the profile is structurally inconsistent. */
     void validate() const;
 };

@@ -101,14 +101,6 @@ TEST(Cache, ProbeDoesNotAllocate)
     EXPECT_TRUE(c.probe(0x1000));
 }
 
-TEST(Cache, FlushAllInvalidates)
-{
-    Cache c(smallCache());
-    c.access(0x1000, false);
-    c.flushAll();
-    EXPECT_FALSE(c.probe(0x1000));
-}
-
 TEST(Cache, CapacityIsRespected)
 {
     Cache c(smallCache()); // 16 lines total

@@ -283,9 +283,9 @@ TEST(Lint, SuppressionComment)
         "suppression.cc", "src/fixture/suppression.cc");
     ASSERT_EQ(findings.size(), 1u);
     EXPECT_EQ(findings[0].rule, "no-libc-random");
-    EXPECT_FALSE(
-        lint::lexFile(fixture("suppression.cc"))
-            .suppressed("no-libc-random", 12))
+    EXPECT_EQ(lint::lexFile(fixture("suppression.cc"))
+                  .allowLineFor("no-libc-random", 12),
+              0)
         << "wrong-rule allow must not suppress";
 }
 

@@ -32,7 +32,7 @@ solo2(double a, double b)
 
 TEST(Metrics, AvgIpcIsThroughput)
 {
-    EXPECT_DOUBLE_EQ(evalMetric(PerfMetric::AvgIpc, sample2(1.5, 0.5)),
+    EXPECT_DOUBLE_EQ(evalMetric(PerfMetric::AvgIpc, sample2(1.5, 0.5), {}),
                      2.0);
 }
 
@@ -94,8 +94,9 @@ TEST(Metrics, UnknownSoloDefaultsToOne)
 TEST(Metrics, EmptySampleIsZero)
 {
     IpcSample s;
-    EXPECT_DOUBLE_EQ(evalMetric(PerfMetric::AvgIpc, s), 0.0);
-    EXPECT_DOUBLE_EQ(evalMetric(PerfMetric::WeightedIpc, s), 0.0);
+    const std::array<double, kMaxThreads> solo{};
+    EXPECT_DOUBLE_EQ(evalMetric(PerfMetric::AvgIpc, s, solo), 0.0);
+    EXPECT_DOUBLE_EQ(evalMetric(PerfMetric::WeightedIpc, s, solo), 0.0);
 }
 
 TEST(Metrics, Names)

@@ -21,7 +21,6 @@ struct Knobs
     std::int64_t count = 1;
     std::uint64_t cycles = 2;
     int width = 3;
-    double ratio = 0.5;
     bool flag = false;
     std::string name = "default";
 
@@ -32,7 +31,6 @@ struct Knobs
         o.addInt("count", &count, "a count");
         o.addUint("cycles", &cycles, "cycles");
         o.addInt32("width", &width, "a width");
-        o.addDouble("ratio", &ratio, "a ratio");
         o.addBool("flag", &flag, "a flag");
         o.addString("name", &name, "a name");
         return o;
@@ -47,13 +45,11 @@ TEST(Options, SetAllKinds)
     EXPECT_TRUE(o.set("count", "-7", err)) << err;
     EXPECT_TRUE(o.set("cycles", "65536", err)) << err;
     EXPECT_TRUE(o.set("width", "8", err)) << err;
-    EXPECT_TRUE(o.set("ratio", "0.25", err)) << err;
     EXPECT_TRUE(o.set("flag", "true", err)) << err;
     EXPECT_TRUE(o.set("name", "art-mcf", err)) << err;
     EXPECT_EQ(k.count, -7);
     EXPECT_EQ(k.cycles, 65536u);
     EXPECT_EQ(k.width, 8);
-    EXPECT_DOUBLE_EQ(k.ratio, 0.25);
     EXPECT_TRUE(k.flag);
     EXPECT_EQ(k.name, "art-mcf");
 }
@@ -93,7 +89,7 @@ TEST(Options, RejectsUnknownAndMalformed)
     EXPECT_FALSE(o.set("bogus", "1", err));
     EXPECT_NE(err.find("unknown"), std::string::npos);
     EXPECT_FALSE(o.set("count", "seven", err));
-    EXPECT_FALSE(o.set("ratio", "fast", err));
+    EXPECT_FALSE(o.set("width", "8x", err));
 }
 
 TEST(Options, ParseArgsSplitsPositional)
@@ -129,13 +125,13 @@ TEST(Options, LoadFileAppliesAndSkipsComments)
         f << "# a comment\n\n"
           << "width = 11\n"
           << "  name =  spaced value  \n"
-          << "ratio=2.5\n";
+          << "count=-25\n";
     }
     std::string err;
     EXPECT_TRUE(o.loadFile(path, err)) << err;
     EXPECT_EQ(k.width, 11);
     EXPECT_EQ(k.name, "spaced value");
-    EXPECT_DOUBLE_EQ(k.ratio, 2.5);
+    EXPECT_EQ(k.count, -25);
     std::remove(path.c_str());
 }
 

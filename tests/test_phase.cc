@@ -208,7 +208,6 @@ TEST(Markov, AccuracyTracksStablePattern)
     for (int i = 0; i < 200; ++i)
         mp.observe(i / 100); // two long runs
     EXPECT_GT(mp.accuracy(), 0.95);
-    EXPECT_GT(mp.predictions(), 100u);
 }
 
 TEST(Markov, RejectsNonPow2)

@@ -175,36 +175,6 @@ TEST(Btb, LookupRefreshesLru)
     EXPECT_FALSE(btb.lookup(0x008, target));
 }
 
-TEST(Ras, PushPopOrder)
-{
-    ReturnAddressStack ras(8);
-    EXPECT_TRUE(ras.empty());
-    ras.push(0x10);
-    ras.push(0x20);
-    ras.push(0x30);
-    EXPECT_EQ(ras.size(), 3u);
-    EXPECT_EQ(ras.pop(), 0x30u);
-    EXPECT_EQ(ras.pop(), 0x20u);
-    EXPECT_EQ(ras.pop(), 0x10u);
-    EXPECT_TRUE(ras.empty());
-}
-
-TEST(Ras, PopEmptyReturnsZero)
-{
-    ReturnAddressStack ras(4);
-    EXPECT_EQ(ras.pop(), 0u);
-}
-
-TEST(Ras, OverflowWrapsKeepingNewest)
-{
-    ReturnAddressStack ras(2);
-    ras.push(1);
-    ras.push(2);
-    ras.push(3); // overwrites the oldest
-    EXPECT_EQ(ras.pop(), 3u);
-    EXPECT_EQ(ras.pop(), 2u);
-}
-
 TEST(Predictors, CopyPreservesLearnedState)
 {
     HybridPredictor hp;

@@ -47,7 +47,10 @@ testCpu(double p_cold = 0.1)
 TEST(Report, RatesAreConsistent)
 {
     SmtCpu cpu = testCpu();
-    MachineReport rep = runAndReport(cpu, 100000, {"mem", "ilp"});
+    MachineSnapshot before = MachineSnapshot::capture(cpu);
+    cpu.run(100000);
+    MachineReport rep =
+        buildReport(before, MachineSnapshot::capture(cpu), {"mem", "ilp"});
     ASSERT_EQ(rep.threads.size(), 2u);
     EXPECT_EQ(rep.cycles, 100000u);
     double sum = rep.threads[0].ipc + rep.threads[1].ipc;

@@ -151,13 +151,11 @@ TEST(SmtConfig, DefaultsMatchTable1)
     EXPECT_EQ(cfg.mem.ul2.ways, 4u);
     EXPECT_EQ(cfg.mem.l2Latency, 20u);
     EXPECT_EQ(cfg.mem.memFirstChunk, 300u);
-    EXPECT_EQ(cfg.mem.memInterChunk, 6u);
     EXPECT_EQ(cfg.gshareEntries, 8192u);
     EXPECT_EQ(cfg.bimodalEntries, 2048u);
     EXPECT_EQ(cfg.metaEntries, 8192u);
     EXPECT_EQ(cfg.btbEntries, 2048u);
     EXPECT_EQ(cfg.btbWays, 4u);
-    EXPECT_EQ(cfg.rasEntries, 64u);
     cfg.validate(); // must not abort
 }
 

@@ -1,14 +1,12 @@
 /**
  * @file
- * Unit tests for periodic stat snapshots: StatDistribution quantile
- * estimates (exact nearest-rank below the reservoir cap, strided
- * estimates above it), delta-row semantics of StatSnapshotter, the
- * streaming JSONL sink, and exact JSONL round-trips.
+ * Unit tests for periodic stat snapshots: delta-row semantics of
+ * StatSnapshotter, the streaming JSONL sink, and exact JSONL
+ * round-trips.
  */
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -20,77 +18,6 @@ namespace smthill
 {
 namespace
 {
-
-TEST(Snapshot, DistributionQuantilesExactBelowCap)
-{
-    StatDistribution d;
-    for (int v = 1; v <= 100; ++v)
-        d.add(static_cast<double>(v));
-    // Nearest-rank over 1..100: q*(n-1)+0.5 rounds to index 50 / 94.
-    EXPECT_EQ(d.p50(), 51.0);
-    EXPECT_EQ(d.p95(), 95.0);
-    EXPECT_EQ(d.quantile(0.0), 1.0);
-    EXPECT_EQ(d.quantile(1.0), 100.0);
-    EXPECT_EQ(d.min(), 1.0);
-    EXPECT_EQ(d.max(), 100.0);
-}
-
-TEST(Snapshot, DistributionQuantileOfEmptyIsZero)
-{
-    StatDistribution d;
-    EXPECT_EQ(d.p50(), 0.0);
-    EXPECT_EQ(d.quantile(0.9), 0.0);
-}
-
-TEST(Snapshot, DistributionQuantilesSurviveDecimation)
-{
-    // Four times the reservoir cap forces at least two stride
-    // doublings; the strided subset still tracks the underlying
-    // uniform ramp closely.
-    StatDistribution d;
-    const int n = static_cast<int>(StatDistribution::kSampleCap) * 4;
-    for (int v = 1; v <= n; ++v)
-        d.add(static_cast<double>(v));
-    EXPECT_EQ(d.count(), static_cast<std::uint64_t>(n));
-    EXPECT_EQ(d.min(), 1.0);
-    EXPECT_EQ(d.max(), static_cast<double>(n));
-    EXPECT_NEAR(d.p50(), 0.50 * n, 0.02 * n);
-    EXPECT_NEAR(d.p95(), 0.95 * n, 0.02 * n);
-}
-
-TEST(Snapshot, DistributionResetClearsReservoir)
-{
-    StatDistribution d;
-    for (int v = 0; v < 10; ++v)
-        d.add(5.0);
-    d.reset();
-    EXPECT_EQ(d.count(), 0u);
-    EXPECT_EQ(d.p50(), 0.0);
-    d.add(7.0);
-    EXPECT_EQ(d.p50(), 7.0);
-}
-
-TEST(Snapshot, RegistryJsonCarriesQuantiles)
-{
-    StatRegistry reg;
-    StatDistribution &d = reg.distribution("smthill.test.lat");
-    for (int v = 1; v <= 100; ++v)
-        d.add(static_cast<double>(v));
-
-    Json doc = reg.toJson();
-    const Json &dj = doc.at("smthill.test.lat");
-    EXPECT_EQ(dj.at("count").asDouble(), 100.0);
-    EXPECT_EQ(dj.at("min").asDouble(), 1.0);
-    EXPECT_EQ(dj.at("p50").asDouble(), 51.0);
-    EXPECT_EQ(dj.at("p95").asDouble(), 95.0);
-    EXPECT_EQ(dj.at("max").asDouble(), 100.0);
-
-    // The document reparses to the identical value (exact doubles).
-    Json back;
-    std::string error;
-    ASSERT_TRUE(Json::parse(doc.dump(2), back, error)) << error;
-    EXPECT_EQ(back, doc);
-}
 
 TEST(Snapshot, CounterRowsAreDeltas)
 {
@@ -124,29 +51,21 @@ TEST(Snapshot, CounterRowsAreDeltas)
     EXPECT_EQ(r2.at("counters").at("smthill.test.hits").asDouble(), 2.0);
 }
 
-TEST(Snapshot, GaugesAreLevelsAndDistsCumulative)
+TEST(Snapshot, GaugesAreLevels)
 {
     StatRegistry reg;
     StatGauge &depth = reg.gauge("smthill.test.depth");
-    StatDistribution &lat = reg.distribution("smthill.test.lat");
     StatSnapshotter snap(reg);
 
     depth.set(4.0);
     Json r0 = snap.sample(0, 0);
     EXPECT_EQ(r0.at("gauges").at("smthill.test.depth").asDouble(), 4.0);
-    // A distribution with no samples yet is omitted, not zero-filled.
-    EXPECT_FALSE(r0.at("dists").contains("smthill.test.lat"));
 
-    lat.add(10.0);
-    lat.add(20.0);
     depth.set(1.5);
     Json r1 = snap.sample(1, 0);
     EXPECT_EQ(r1.at("gauges").at("smthill.test.depth").asDouble(), 1.5);
-    const Json &dj = r1.at("dists").at("smthill.test.lat");
-    EXPECT_EQ(dj.at("count").asDouble(), 2.0);
-    EXPECT_EQ(dj.at("mean").asDouble(), 15.0);
-    EXPECT_EQ(dj.at("min").asDouble(), 10.0);
-    EXPECT_EQ(dj.at("max").asDouble(), 20.0);
+    EXPECT_EQ(r1.size(), 5u) << "a row is {seq, epoch, cycle, counters, "
+                                "gauges}";
 }
 
 TEST(Snapshot, StreamingSinkMatchesToJsonl)
@@ -174,12 +93,10 @@ TEST(Snapshot, JsonlRoundTripIsExact)
     StatRegistry reg;
     StatCounter &c = reg.counter("smthill.test.work");
     StatGauge &g = reg.gauge("smthill.test.level");
-    StatDistribution &d = reg.distribution("smthill.test.lat");
     StatSnapshotter snap(reg);
     for (int e = 0; e < 4; ++e) {
         c.add(static_cast<std::uint64_t>(e) * 3 + 1);
         g.set(0.25 * e);
-        d.add(static_cast<double>(e) + 0.5);
         snap.sample(static_cast<std::uint64_t>(e),
                     static_cast<std::uint64_t>(e) * 8192);
     }

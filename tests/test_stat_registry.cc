@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
 #include <thread>
 #include <vector>
 
@@ -31,49 +30,18 @@ TEST(StatRegistry, CounterFindOrCreate)
     EXPECT_EQ(a.value(), 5u);
 }
 
-TEST(StatRegistry, GaugeSetAndAdd)
-{
-    StatRegistry reg;
-    StatGauge &g = reg.gauge("depth");
-    g.set(3.0);
-    g.add(-1.5);
-    EXPECT_DOUBLE_EQ(g.value(), 1.5);
-}
-
-TEST(StatRegistry, DistributionSummary)
-{
-    StatRegistry reg;
-    StatDistribution &d = reg.distribution("lat");
-    for (double v : {2.0, 4.0, 6.0})
-        d.add(v);
-    EXPECT_EQ(d.count(), 3u);
-    EXPECT_DOUBLE_EQ(d.mean(), 4.0);
-    EXPECT_DOUBLE_EQ(d.min(), 2.0);
-    EXPECT_DOUBLE_EQ(d.max(), 6.0);
-    EXPECT_NEAR(d.stddev(), std::sqrt(8.0 / 3.0), 1e-12);
-}
-
-TEST(StatRegistry, EmptyDistributionIsDefined)
-{
-    StatRegistry reg;
-    StatDistribution &d = reg.distribution("empty");
-    EXPECT_EQ(d.count(), 0u);
-    EXPECT_DOUBLE_EQ(d.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(d.stddev(), 0.0);
-}
-
 TEST(StatRegistry, NamesInRegistrationOrder)
 {
     StatRegistry reg;
     reg.counter("c1");
     reg.gauge("g1");
-    reg.distribution("d1");
+    reg.counter("c0");
     reg.counter("c1"); // lookup, not a new registration
     std::vector<std::string> names = reg.names();
     ASSERT_EQ(names.size(), 3u);
     EXPECT_EQ(names[0], "c1");
     EXPECT_EQ(names[1], "g1");
-    EXPECT_EQ(names[2], "d1");
+    EXPECT_EQ(names[2], "c0");
 }
 
 TEST(StatRegistry, KindMismatchDies)
@@ -87,19 +55,14 @@ TEST(StatRegistry, ToJsonExportsEveryKind)
 {
     StatRegistry reg;
     reg.counter("hits").add(7);
-    reg.gauge("depth").set(2.25);
-    StatDistribution &d = reg.distribution("lat");
-    d.add(1.0);
-    d.add(3.0);
+    StatGauge &depth = reg.gauge("depth");
+    depth.set(7.5);
+    depth.set(2.25); // a gauge is a level: set overwrites
 
     Json j = reg.toJson();
+    EXPECT_EQ(j.size(), 2u);
     EXPECT_EQ(j.at("hits").asInt(), 7);
     EXPECT_DOUBLE_EQ(j.at("depth").asDouble(), 2.25);
-    const Json &dist = j.at("lat");
-    EXPECT_EQ(dist.at("count").asInt(), 2);
-    EXPECT_DOUBLE_EQ(dist.at("mean").asDouble(), 2.0);
-    EXPECT_DOUBLE_EQ(dist.at("min").asDouble(), 1.0);
-    EXPECT_DOUBLE_EQ(dist.at("max").asDouble(), 3.0);
 
     // The export round-trips through the parser.
     Json back;
@@ -114,12 +77,10 @@ TEST(StatRegistry, ResetValuesKeepsRegistrations)
     StatCounter &c = reg.counter("c");
     c.add(5);
     reg.gauge("g").set(1.0);
-    reg.distribution("d").add(2.0);
     reg.resetValues();
     EXPECT_EQ(c.value(), 0u);
     EXPECT_DOUBLE_EQ(reg.gauge("g").value(), 0.0);
-    EXPECT_EQ(reg.distribution("d").count(), 0u);
-    EXPECT_EQ(reg.names().size(), 3u);
+    EXPECT_EQ(reg.names().size(), 2u);
 }
 
 TEST(StatRegistry, ConcurrentCountsAreExact)

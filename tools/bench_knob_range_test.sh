@@ -1,10 +1,12 @@
 #!/bin/sh
-# BenchRejectsOutOfRangeKnobs: an integer bench knob beyond INT_MAX
+# BenchRejectsOutOfRangeKnobs: an out-of-range integer bench knob
 # must end the bench with a fatal() that names the variable, before
 # anything is simulated, instead of wrapping into another count
-# (SMTHILL_OFFLINE_STRIDE=4294967297 would wrap to stride 1). The
-# other knobs are scaled down so that a bench which wrongly runs
-# still ends quickly.
+# (SMTHILL_OFFLINE_STRIDE=4294967297 would wrap to stride 1) or
+# failing later without naming it (a stride of 200 exceeds half the
+# 256 rename registers, so no two-thread split is left). The other
+# knobs are scaled down so that a bench which wrongly runs still ends
+# quickly.
 #
 #   bench_knob_range_test.sh BENCH_FIG07_HILLWIDTH
 set -u
@@ -12,7 +14,7 @@ set -u
 bench=$1
 status=0
 
-for value in 4294967297 2147483648 0; do
+for value in 4294967297 2147483648 0 200; do
     err=$(SMTHILL_OFFLINE_STRIDE=$value SMTHILL_EPOCHS=1 \
           SMTHILL_EPOCH_SIZE=1024 SMTHILL_WARMUP=1024 SMTHILL_JOBS=1 \
           "$bench" 2>&1 >/dev/null)

@@ -75,7 +75,7 @@ echo "== asan: address-sanitized fuzz smoke + tests =="
 # The ROADMAP's ASan suite regex (observability/export, churn,
 # bandit/RL, golden learner digests, run() fast-forward, commit
 # adoption, solo-reference fan-out, env knobs, grid lane cap) plus
-# the fuzz smoke.
+# the fuzz smoke and the CLI-trace and bench-knob scripts.
 ASAN_SUITES='Json|StatRegistry|EpochTracer|EventTrace|TraceReport'
 ASAN_SUITES="$ASAN_SUITES|MachineReport|Observability|Profile|Snapshot"
 ASAN_SUITES="$ASAN_SUITES|BenchDiff|HillMeasurement|HillBootstrap"
@@ -86,7 +86,7 @@ ASAN_SUITES="$ASAN_SUITES|RunGrid"
 stage_build "$SRC_DIR/build-asan" -DSMTHILL_SANITIZE=address &&
     (cd "$SRC_DIR/build-asan" &&
      ctest --output-on-failure -j "$JOBS" \
-           -R "$ASAN_SUITES|FuzzSmoke|TsanFixture")
+           -R "$ASAN_SUITES|FuzzSmoke|TsanFixture|CliTraces|BenchRejects")
 record asan $?
 
 echo "== tsan: thread-sanitized parallel suites =="

@@ -24,6 +24,9 @@ fail() {
     trace=16 >"$out/stdout.txt"
 # shellcheck disable=SC2086
 "$cli" $run epoch_trace="$out/epochs.csv" >/dev/null
+# shellcheck disable=SC2086
+"$cli" $run profile=1 profile_json="$out/profile.json" \
+    event_trace="$out/prof.json" >/dev/null
 
 grep -q '"schema": "smthill.epoch-trace.v1"' "$out/epochs.json" ||
     fail "epochs.json is not an epoch-trace document"
@@ -33,6 +36,15 @@ grep -q '"schema": "smthill.epoch-trace.v1"' "$out/epochs.json" ||
     fail "epochs.csv is not a header plus 6 rows"
 grep -q '"metric_value"' "$out/events.json" ||
     fail "the events.v1 epoch slices carry no epoch record"
+
+# With profile=1 the event trace carries the host spans as complete
+# ("X") events of the host-profiler process, pid 2000.
+awk '/^ *\{/ { ph = "" } /"ph": "X"/ { ph = "X" }
+     /"pid": 2000,/ && ph == "X" { found = 1 }
+     END { exit !found }' "$out/prof.json" ||
+    fail "prof.json holds no complete event under pid 2000"
+grep -q '"schema": "smthill.profile.v1"' "$out/profile.json" ||
+    fail "profile.json is not a profile document"
 
 grep -q '^last 16 pipeline events:$' "$out/stdout.txt" ||
     fail "no trace=16 block on stdout"

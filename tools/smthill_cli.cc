@@ -40,22 +40,21 @@
  *     audits, and per-thread resource-share counter tracks. A path
  *     ending in ".jsonl" writes the streaming JSONL form; any other
  *     path writes Chrome trace-event / Perfetto JSON loadable at
- *     ui.perfetto.dev.
+ *     ui.perfetto.dev. With profile=1 the host spans ride along as
+ *     a second clock track under pid 2000.
  *   snapshots=FILE    (or --snapshots=FILE) streams one
  *     `smthill.snapshots.v1` delta row of the process-wide
  *     StatRegistry per measured epoch (single-run mode only).
  *   profile=1 turns on the host-side span profiler for this run
  *     (equivalent to SMTHILL_PROFILE=ON); profile_json=FILE writes
- *     the `smthill.profile.v1` report there instead of the stdout
- *     span table.
+ *     the `smthill.profile.v1` report there (checked to reload)
+ *     instead of the stdout span table.
  * GNU-style spellings are accepted: "--stats-json=x" is normalized
  * to "stats_json=x" (dashes only rewritten in the key, not values).
  */
 
 #include <cstdio>
-#include <fstream>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -66,9 +65,9 @@
 #include "common/options.hh"
 #include "common/profile.hh"
 #include "common/stat_registry.hh"
-#include "common/stat_snapshot.hh"
 #include "core/epoch_trace.hh"
 #include "core/hill_climbing.hh"
+#include "harness/artifacts.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
 #include "harness/table.hh"
@@ -178,16 +177,6 @@ normalizeArg(const std::string &arg)
     return s;
 }
 
-/** Write @p content to @p path, fataling on I/O failure. */
-void
-writeTextFile(const std::string &path, const std::string &content)
-{
-    std::ofstream out(path, std::ios::binary);
-    out << content;
-    if (!out)
-        fatal(msg("cannot write '", path, "'"));
-}
-
 /** Shared metadata + counters skeleton of a smthill.stats.v1 doc. */
 Json
 statsDocument()
@@ -210,7 +199,7 @@ exportProfile(const std::string &path)
         return;
     const prof::ProfileReport report = prof::profileReport();
     if (!path.empty()) {
-        writeTextFile(path, prof::profileToJson(report).dump(2) + "\n");
+        writeProfile(path, report);
         std::printf("wrote host profile to %s (%zu spans, "
                     "parallel_efficiency %.3f)\n",
                     path.c_str(), report.spans.size(),
@@ -491,31 +480,21 @@ main(int argc, char **argv)
     // Per-epoch stat snapshots: the observer samples the process-wide
     // registry after every policy.epoch() hook, stamped with the
     // machine's own cycle clock.
-    std::ofstream snapshot_out;
-    std::optional<StatSnapshotter> snapshotter;
-    if (!snapshots.empty()) {
-        snapshot_out.open(snapshots, std::ios::binary);
-        if (!snapshot_out)
-            fatal(msg("cannot write '", snapshots, "'"));
-        snapshotter.emplace(globalStats());
-        snapshotter->streamTo(&snapshot_out);
-    }
+    SnapshotSink snapshot_sink(snapshots);
     EpochObserver on_epoch;
-    if (snapshotter) {
+    if (snapshot_sink.enabled()) {
         on_epoch = [&](int e, const SmtCpu &c) {
-            snapshotter->sample(static_cast<std::uint64_t>(e), c.now());
+            snapshot_sink.sample(static_cast<std::uint64_t>(e), c.now());
         };
     }
 
     RunResult res = runPolicyOn(std::move(cpu), *policy, rc.epochs,
                                 rc.epochSize, on_epoch);
 
-    if (snapshotter) {
-        snapshotter->streamTo(nullptr);
-        if (!snapshot_out)
-            fatal(msg("cannot write '", snapshots, "'"));
-        std::printf("wrote %zu stat snapshots to %s\n",
-                    snapshotter->rows().size(), snapshots.c_str());
+    if (snapshot_sink.enabled()) {
+        const std::size_t rows = snapshot_sink.close();
+        std::printf("wrote %zu stat snapshots to %s\n", rows,
+                    snapshots.c_str());
     }
 
     PerfMetric metric = policyMetric(policy_name);
@@ -542,26 +521,14 @@ main(int argc, char **argv)
                 records.push_back(std::move(r));
             }
         }
-        bool as_csv = epoch_trace.size() >= 4 &&
-                      epoch_trace.compare(epoch_trace.size() - 4, 4,
-                                          ".csv") == 0;
         writeTextFile(epoch_trace,
-                      as_csv ? epochTraceToCsv(records)
-                             : epochTraceToJson(records, metric).dump(2) +
-                                   "\n");
+                      hasExtension(epoch_trace, ".csv")
+                          ? epochTraceToCsv(records)
+                          : epochTraceToJson(records, metric).dump(2) + "\n");
     }
 
-    if (!event_trace.empty()) {
-        bool as_jsonl =
-            event_trace.size() >= 6 &&
-            event_trace.compare(event_trace.size() - 6, 6, ".jsonl") ==
-                0;
-        writeTextFile(event_trace,
-                      as_jsonl
-                          ? event_tracer.toJsonl()
-                          : event_tracer.toPerfettoJson().dump(2) +
-                                "\n");
-    }
+    if (!event_trace.empty())
+        writeEventTrace(event_tracer, event_trace);
 
     if (!stats_json.empty()) {
         Json root = statsDocument();

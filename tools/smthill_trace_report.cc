@@ -31,6 +31,7 @@
 
 #include "common/event_trace.hh"
 #include "common/log.hh"
+#include "harness/artifacts.hh"
 #include "harness/table.hh"
 
 using namespace smthill;
@@ -266,10 +267,7 @@ writeShareCsv(const ShareTimeline &tl, const std::string &path)
                 out << cycle << ',' << pid << ',' << tid << ','
                     << static_cast<std::int64_t>(value) << '\n';
 
-    std::ofstream f(path, std::ios::binary);
-    f << out.str();
-    if (!f)
-        fatal(msg("cannot write '", path, "'"));
+    writeTextFile(path, out.str());
     std::printf("wrote share timeline CSV to %s\n", path.c_str());
 }
 
