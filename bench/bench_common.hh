@@ -188,49 +188,6 @@ checkExportValue(const char *what, double a, double b)
                   " != ", b));
 }
 
-/**
- * Emit the host-profile report when profiling is on: to
- * SMTHILL_PROFILE_JSON as a `smthill.profile.v1` document (with a
- * write/reload/reparse self-check, like the figure exports), or as a
- * compact stdout table of the heaviest spans. No-op when profiling
- * is off, keeping default bench output byte-identical.
- */
-inline void
-exportProfileIfEnabled()
-{
-    if (!prof::profilingEnabled())
-        return;
-    const prof::ProfileReport report = prof::profileReport();
-    const std::string path = profileJsonPath();
-    if (!path.empty()) {
-        writeProfile(path, report);
-        std::printf("wrote host profile to %s (%zu spans, "
-                    "parallel_efficiency %.3f)\n",
-                    path.c_str(), report.spans.size(),
-                    report.parallelEfficiency);
-        return;
-    }
-    std::vector<prof::SpanStats> spans = report.spans;
-    std::sort(spans.begin(), spans.end(),
-              [](const prof::SpanStats &a, const prof::SpanStats &b) {
-                  return a.totalNs > b.totalNs;
-              });
-    std::printf("host profile (parallel_efficiency %.3f):\n",
-                report.parallelEfficiency);
-    std::printf("  %-28s %10s %12s %12s %12s\n", "span", "count",
-                "total_ms", "self_ms", "max_ms");
-    const std::size_t shown = spans.size() < 12 ? spans.size() : 12;
-    for (std::size_t i = 0; i < shown; ++i) {
-        const prof::SpanStats &s = spans[i];
-        std::printf("  %-28s %10llu %12.3f %12.3f %12.3f\n",
-                    s.name.c_str(),
-                    static_cast<unsigned long long>(s.count),
-                    static_cast<double>(s.totalNs) / 1e6,
-                    static_cast<double>(s.selfNs) / 1e6,
-                    static_cast<double>(s.maxNs) / 1e6);
-    }
-}
-
 } // namespace smthill::benchutil
 
 #endif // SMTHILL_BENCH_BENCH_COMMON_HH

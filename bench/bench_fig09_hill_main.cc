@@ -219,7 +219,7 @@ main()
                     "file match)\n",
                     export_path.c_str());
     }
-    exportProfileIfEnabled();
+    exportProfile(profileJsonPath());
     closeSnapshots(snapshots);
     return 0;
 }

@@ -214,7 +214,7 @@ main()
         std::printf("wrote open-system stats to %s\n",
                     stats_path.c_str());
     }
-    exportProfileIfEnabled();
+    exportProfile(profileJsonPath());
     closeSnapshots(snapshots);
     return 0;
 }

@@ -1,5 +1,6 @@
 #include "common/options.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -168,8 +169,18 @@ OptionSet::parseArgs(const std::vector<std::string> &args,
                      std::vector<std::string> &positional,
                      std::string &error)
 {
-    for (const std::string &arg : args) {
+    for (const std::string &raw : args) {
+        // GNU spellings: "--stats-json=x" means "stats_json=x". Only
+        // the key of a key=value or "--" token is rewritten, so values
+        // (workload=art-mcf) and bare positionals (paths) keep their
+        // dashes.
+        const bool gnu = raw.rfind("--", 0) == 0;
+        std::string arg = gnu ? raw.substr(2) : raw;
         std::size_t eq = arg.find('=');
+        if (gnu || eq != std::string::npos) {
+            std::size_t keyEnd = std::min(eq, arg.size());
+            std::replace(arg.begin(), arg.begin() + keyEnd, '-', '_');
+        }
         if (eq == std::string::npos) {
             positional.push_back(arg);
             continue;

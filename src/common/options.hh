@@ -60,7 +60,11 @@ class OptionSet
 
     /**
      * Consume `key=value` tokens from a CLI argument list; tokens
-     * without '=' are left for the caller in @p positional.
+     * without '=' are left for the caller in @p positional. GNU
+     * spellings are accepted: a leading `--` is dropped and dashes
+     * in the key become underscores (`--stats-json=a-b` sets
+     * `stats_json` to `a-b`, `--help` is the positional `help`).
+     * A bare positional is never rewritten.
      * @return false with @p error set on the first problem
      */
     bool parseArgs(const std::vector<std::string> &args,

@@ -1,5 +1,7 @@
 #include "harness/artifacts.hh"
 
+#include <algorithm>
+#include <cstdio>
 #include <iterator>
 
 #include "common/log.hh"
@@ -54,13 +56,41 @@ writeAndReloadJson(const std::string &path, const Json &doc)
 }
 
 void
-writeProfile(const std::string &path, const prof::ProfileReport &report)
+exportProfile(const std::string &path)
 {
-    Json reloaded = writeAndReloadJson(path, prof::profileToJson(report));
-    prof::ProfileReport back;
-    std::string error;
-    if (!prof::profileFromJson(reloaded, back, error))
-        fatal(msg("profile export '", path, "' does not reload: ", error));
+    if (!prof::profilingEnabled())
+        return;
+    prof::ProfileReport report = prof::profileReport();
+    if (!path.empty()) {
+        Json reloaded =
+            writeAndReloadJson(path, prof::profileToJson(report));
+        prof::ProfileReport back;
+        std::string error;
+        if (!prof::profileFromJson(reloaded, back, error))
+            fatal(msg("profile export '", path,
+                      "' does not reload: ", error));
+        std::printf("wrote host profile to %s (%zu spans, "
+                    "parallel_efficiency %.3f)\n",
+                    path.c_str(), report.spans.size(),
+                    report.parallelEfficiency);
+        return;
+    }
+    std::stable_sort(report.spans.begin(), report.spans.end(),
+                     [](const prof::SpanStats &a,
+                        const prof::SpanStats &b) {
+                         return a.totalNs > b.totalNs;
+                     });
+    std::printf("host profile (parallel_efficiency %.3f):\n",
+                report.parallelEfficiency);
+    std::printf("  %-28s %10s %12s %12s %12s\n", "span", "count",
+                "total_ms", "self_ms", "max_ms");
+    for (const prof::SpanStats &s : report.spans)
+        std::printf("  %-28s %10llu %12.3f %12.3f %12.3f\n",
+                    s.name.c_str(),
+                    static_cast<unsigned long long>(s.count),
+                    static_cast<double>(s.totalNs) / 1e6,
+                    static_cast<double>(s.selfNs) / 1e6,
+                    static_cast<double>(s.maxNs) / 1e6);
 }
 
 SnapshotSink::SnapshotSink(const std::string &path)

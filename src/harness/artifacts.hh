@@ -3,9 +3,9 @@
  * The artifact writers of smthill_cli and the paper benches: plain
  * text files, the event trace in the form its file extension picks,
  * JSON exports with a reload check, the host-profile report, and the
- * streaming stat-snapshot sink. The writers print nothing; each
- * caller reports what it wrote in its own stdout lines. Every writer
- * is fatal on I/O failure.
+ * streaming stat-snapshot sink. Apart from the profile report, the
+ * writers print nothing; each caller reports what it wrote in its
+ * own stdout lines. Every writer is fatal on I/O failure.
  */
 
 #ifndef SMTHILL_HARNESS_ARTIFACTS_HH
@@ -49,11 +49,13 @@ bool writeEventTrace(EventTrace &trace, const std::string &path);
 Json writeAndReloadJson(const std::string &path, const Json &doc);
 
 /**
- * Write @p report to @p path as a `smthill.profile.v1` document and
- * check that the file reloads through profileFromJson.
+ * Emit the host-profile report when profiling is on: to @p path as a
+ * `smthill.profile.v1` document that must reload through
+ * profileFromJson, or, with an empty @p path, as a stdout table of
+ * every span, heaviest total first. Prints nothing at all with
+ * profiling off.
  */
-void writeProfile(const std::string &path,
-                  const prof::ProfileReport &report);
+void exportProfile(const std::string &path);
 
 /**
  * Streaming snapshot sink over globalStats(): opens @p path and

@@ -61,8 +61,8 @@ struct LexedFile
     /**
      * @return the line of the allow marker that suppresses a finding
      * of @p rule on @p line (the line itself or the line above), or
-     * 0 when no marker applies. The stale-suppression analyzer pass
-     * uses this to credit the exact marker a finding consumed.
+     * 0 when no marker applies. The linter uses this to credit the
+     * exact marker a finding consumed (see stale-suppression).
      */
     int allowLineFor(const std::string &rule, int line) const;
 };

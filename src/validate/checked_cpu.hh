@@ -6,12 +6,8 @@
  * shape, transient-tolerant per-thread partition caps, flow-counter
  * identities, and cache reconciliation. Violations accumulate in the
  * embedded InvariantChecker (or panic immediately with failFast).
- *
- * The default check cadence follows the SMTHILL_VALIDATE build
- * option: every cycle when the validation layer is compiled in
- * (Debug builds default it ON), disabled otherwise — so release
- * benches built without the option pay nothing unless a cadence is
- * requested explicitly (as the fuzz harness does).
+ * Every caller names its cadence; release benches never construct
+ * one, so they pay nothing.
  */
 
 #ifndef SMTHILL_VALIDATE_CHECKED_CPU_HH
@@ -26,26 +22,14 @@ namespace smthill
 class CheckedCpu
 {
   public:
-    /** Cadence the build configuration asks for (0 = disabled). */
-    static constexpr Cycle defaultInterval()
-    {
-#ifdef SMTHILL_VALIDATE
-        return 1;
-#else
-        return 0;
-#endif
-    }
-
     /**
      * @param cpu the machine to drive (moved in)
      * @param options invariant-checker behavior
      * @param check_interval check every Nth step(); 0 disables the
      *        per-step checks (checkNow() still works)
      */
-    explicit CheckedCpu(SmtCpu cpu,
-                        InvariantChecker::Options options =
-                            InvariantChecker::Options{},
-                        Cycle check_interval = defaultInterval());
+    CheckedCpu(SmtCpu cpu, InvariantChecker::Options options,
+               Cycle check_interval);
 
     /** Advance one cycle, then check at the configured cadence. */
     void step();

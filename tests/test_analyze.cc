@@ -1,16 +1,16 @@
 /**
  * @file
- * Tests for the cross-TU analyzer (lint/analyze.hh): the phase-1
- * project model (call-graph edges, pool-lambda capture extraction,
- * stat/schema/event tables), each phase-2 pass against its must-flag
- * / must-pass fixture pair under tests/lint/fixtures/, and the
- * smthill.lint.v1 JSON round-trip of analyzer findings.
+ * Tests for the linter's cross-TU side (lint/lint.hh): the project
+ * model (call-graph edges, pool-lambda capture extraction,
+ * stat/schema/event tables), each cross-TU pass against its
+ * must-flag / must-pass fixture pair under tests/lint/fixtures/, and
+ * the smthill.lint.v1 JSON round-trip of pass findings.
  *
- * Fixtures are analyzed under *synthetic* paths, exactly like
+ * Fixtures are linted under *synthetic* paths, exactly like
  * test_lint.cc: the hot-path domain and the stat registration rules
- * key off the path handed to analyzeUnits, so fixture content can
- * stand in for any module from one on-disk directory (which the tree
- * walker skips, keeping the Analyze ctest run clean).
+ * key off the path handed to lintUnits, so fixture content can stand
+ * in for any module from one on-disk directory (which the tree
+ * walker skips, keeping the Lint ctest run clean).
  */
 
 #include <algorithm>
@@ -23,7 +23,7 @@
 #include <gtest/gtest.h>
 
 #include "common/json.hh"
-#include "lint/analyze.hh"
+#include "lint/lint.hh"
 
 using namespace smthill;
 using lint::Finding;
@@ -65,7 +65,10 @@ expectOnlyRule(const std::vector<Finding> &findings,
 
 TEST(Analyze, PassNamesAreTheFourDocumentedPasses)
 {
-    std::vector<std::string> names = lint::passNames();
+    // The four passes follow the nine per-file rules.
+    std::vector<std::string> all = lint::ruleNames();
+    ASSERT_EQ(all.size(), 13u);
+    std::vector<std::string> names(all.begin() + 9, all.end());
     ASSERT_EQ(names.size(), 4u);
     EXPECT_NE(std::find(names.begin(), names.end(), "parallel-capture"),
               names.end());
@@ -81,7 +84,7 @@ TEST(Analyze, PassNamesAreTheFourDocumentedPasses)
 }
 
 // ---------------------------------------------------------------
-// Phase 1: project model
+// Project model
 // ---------------------------------------------------------------
 
 TEST(AnalyzeModel, CallGraphRecordsDefinitionsAndEdges)
@@ -214,25 +217,25 @@ TEST(AnalyzeModel, EventTablesRecordEmissionAndCatalog)
 }
 
 // ---------------------------------------------------------------
-// Phase 2: fire/pass fixture pairs
+// Cross-TU passes: fire/pass fixture pairs
 // ---------------------------------------------------------------
 
 TEST(AnalyzePasses, ParallelCaptureFlagAndPass)
 {
-    std::vector<Finding> fire = lint::analyzeUnits(
+    std::vector<Finding> fire = lint::lintUnits(
         {unit("src/core/racy.cc", "parallel_capture_flag.cc")});
     expectOnlyRule(fire, "parallel-capture");
     // Both the reduction ('sum') and the growth ('rows') must fire.
     EXPECT_EQ(fire.size(), 2u);
 
-    EXPECT_TRUE(lint::analyzeUnits({unit("src/core/tidy.cc",
-                                         "parallel_capture_pass.cc")})
+    EXPECT_TRUE(lint::lintUnits({unit("src/core/tidy.cc",
+                                      "parallel_capture_pass.cc")})
                     .empty());
 }
 
 TEST(AnalyzePasses, HotPathAllocationFlagAndPass)
 {
-    std::vector<Finding> fire = lint::analyzeUnits(
+    std::vector<Finding> fire = lint::lintUnits(
         {unit("src/pipeline/fetch_q.cc", "hot_path_alloc_flag.cc")});
     expectOnlyRule(fire, "hot-path-allocation");
     ASSERT_EQ(fire.size(), 1u);
@@ -241,8 +244,8 @@ TEST(AnalyzePasses, HotPathAllocationFlagAndPass)
         << fire[0].message;
     EXPECT_NE(fire[0].message.find("refill"), std::string::npos);
 
-    EXPECT_TRUE(lint::analyzeUnits({unit("src/pipeline/fetch_q.cc",
-                                         "hot_path_alloc_pass.cc")})
+    EXPECT_TRUE(lint::lintUnits({unit("src/pipeline/fetch_q.cc",
+                                      "hot_path_alloc_pass.cc")})
                     .empty());
 }
 
@@ -250,7 +253,7 @@ TEST(AnalyzePasses, HotPathAllocationRootsAtTheArenaSweep)
 {
     // The trial sweep is a root of its own: an allocation in a
     // helper only the sweep reaches is flagged, with the chain.
-    std::vector<Finding> fire = lint::analyzeUnits(
+    std::vector<Finding> fire = lint::lintUnits(
         {{"src/core/machine_arena.cc",
           "void\n"
           "MachineArena::sweep(ThreadPool &pool)\n"
@@ -270,22 +273,65 @@ TEST(AnalyzePasses, HotPathAllocationRootsAtTheArenaSweep)
         << fire[0].message;
 }
 
+TEST(AnalyzePasses, HotPathReachabilityIgnoresFilePlacement)
+{
+    // runTrialEpoch's `trial.run(...)` is an SmtCpu call. Another
+    // class's `run` must not become reachable through it, whether or
+    // not the two definitions share a file: the callee file is the
+    // same in both layouts, so the findings must match exactly.
+    const std::string callee = "void\n"
+                               "OfflineExhaustive::run()\n"
+                               "{\n"
+                               "    stepEpoch();\n"
+                               "}\n"
+                               "\n"
+                               "void\n"
+                               "OfflineExhaustive::stepEpoch()\n"
+                               "{\n"
+                               "    curve.push_back(0);\n"
+                               "}\n";
+    const std::string caller = "IpcSample\n"
+                               "runTrialEpoch(SmtCpu &trial)\n"
+                               "{\n"
+                               "    trial.run(64);\n"
+                               "    return sample();\n"
+                               "}\n";
+    const lint::SourceUnit cpu = {"src/pipeline/cpu.cc",
+                                  "void\n"
+                                  "SmtCpu::run(Cycle n)\n"
+                                  "{\n"
+                                  "    events.reserve(n);\n"
+                                  "}\n"};
+
+    std::vector<Finding> oneUnit = lint::lintUnits(
+        {{"src/core/offline_exhaustive.cc", callee + caller}, cpu});
+    std::vector<Finding> twoUnits = lint::lintUnits(
+        {{"src/core/offline_exhaustive.cc", callee},
+         {"src/core/machine_arena.cc", caller},
+         cpu});
+    EXPECT_EQ(oneUnit, twoUnits);
+    // Only the SmtCpu::run root allocates; stepEpoch stays unreached.
+    ASSERT_EQ(twoUnits.size(), 1u);
+    EXPECT_EQ(twoUnits[0].rule, "hot-path-allocation");
+    EXPECT_EQ(twoUnits[0].file, "src/pipeline/cpu.cc");
+}
+
 TEST(AnalyzePasses, HotPathDomainExcludesTestsAndValidate)
 {
     // The same growth shape outside the hot-path domain stays clean:
     // tests are not simulation inner loops, and validate/ is
     // explicitly carved out of the domain.
-    EXPECT_TRUE(lint::analyzeUnits({unit("tests/test_fetch_q.cc",
-                                         "hot_path_alloc_flag.cc")})
+    EXPECT_TRUE(lint::lintUnits({unit("tests/test_fetch_q.cc",
+                                      "hot_path_alloc_flag.cc")})
                     .empty());
-    EXPECT_TRUE(lint::analyzeUnits({unit("src/validate/fetch_q.cc",
-                                         "hot_path_alloc_flag.cc")})
+    EXPECT_TRUE(lint::lintUnits({unit("src/validate/fetch_q.cc",
+                                      "hot_path_alloc_flag.cc")})
                     .empty());
 }
 
 TEST(AnalyzePasses, CrossTuStatFlagAndPass)
 {
-    std::vector<Finding> fire = lint::analyzeUnits(
+    std::vector<Finding> fire = lint::lintUnits(
         {unit("src/common/widget.cc", "cross_tu_stat_flag.cc")});
     expectOnlyRule(fire, "cross-tu-consistency");
     ASSERT_EQ(fire.size(), 1u);
@@ -294,14 +340,14 @@ TEST(AnalyzePasses, CrossTuStatFlagAndPass)
 
     // With the reader unit alongside, the stat is consumed cross-TU.
     EXPECT_TRUE(
-        lint::analyzeUnits(
+        lint::lintUnits(
             {unit("src/common/widget.cc", "cross_tu_stat_flag.cc"),
              unit("tests/test_widget.cc", "cross_tu_stat_pass.cc")})
             .empty());
 
     // The reader alone fires the complementary direction: a lookup
     // of a stat that src/ never registers.
-    std::vector<Finding> orphan = lint::analyzeUnits(
+    std::vector<Finding> orphan = lint::lintUnits(
         {unit("tests/test_widget.cc", "cross_tu_stat_pass.cc")});
     expectOnlyRule(orphan, "cross-tu-consistency");
 }
@@ -312,14 +358,14 @@ TEST(AnalyzePasses, CrossTuSchemaAsymmetryNeedsDistinctReader)
     // self-consistent by construction and must stay clean (dead
     // listed fields included — no parser means no contract yet).
     EXPECT_TRUE(
-        lint::analyzeUnits(
+        lint::lintUnits(
             {{"src/common/event_trace.cc",
               "void w(Json &j) { j.set(\"clock\", Json(1)); }\n"}})
             .empty());
 
     // A distinct reader that parses a different field makes the
     // unparsed write a real asymmetry.
-    std::vector<Finding> fire = lint::analyzeUnits(
+    std::vector<Finding> fire = lint::lintUnits(
         {{"src/common/event_trace.cc",
           "void w(Json &j) { j.set(\"clock\", Json(1)); }\n"},
          {"tools/smthill_trace_report.cc",
@@ -337,7 +383,7 @@ TEST(AnalyzePasses, CrossTuSchemaAsymmetryNeedsDistinctReader)
 
 TEST(AnalyzePasses, CrossTuUnknownEventFires)
 {
-    std::vector<Finding> fire = lint::analyzeUnits(
+    std::vector<Finding> fire = lint::lintUnits(
         {{"src/core/emit.cc",
           "void f(EventTrace *t) {\n"
           "    t->instant(1, 0, 0, \"hill\", \"epoch\");\n"
@@ -352,15 +398,15 @@ TEST(AnalyzePasses, CrossTuUnknownEventFires)
 
 TEST(AnalyzePasses, StaleSuppressionFlagAndPass)
 {
-    std::vector<Finding> fire = lint::analyzeUnits(
+    std::vector<Finding> fire = lint::lintUnits(
         {unit("src/core/stale.cc", "stale_suppression_flag.cc")});
     expectOnlyRule(fire, "stale-suppression");
     ASSERT_EQ(fire.size(), 1u);
     EXPECT_NE(fire[0].message.find("parallel-capture"),
               std::string::npos);
 
-    EXPECT_TRUE(lint::analyzeUnits({unit("src/core/live.cc",
-                                         "stale_suppression_pass.cc")})
+    EXPECT_TRUE(lint::lintUnits({unit("src/core/live.cc",
+                                      "stale_suppression_pass.cc")})
                     .empty());
 }
 
@@ -368,7 +414,7 @@ TEST(AnalyzePasses, SuppressionOnlyCoversTheNamedPass)
 {
     // An allow(hot-path-allocation) marker does not silence a
     // parallel-capture finding on the same line.
-    std::vector<Finding> fire = lint::analyzeUnits(
+    std::vector<Finding> fire = lint::lintUnits(
         {{"src/core/racy.cc",
           "void f(ThreadPool &pool) {\n"
           "    int n = 0;\n"
@@ -387,17 +433,16 @@ TEST(AnalyzePasses, SuppressionOnlyCoversTheNamedPass)
 
 TEST(AnalyzeJson, FindingsRoundTripThroughLintV1)
 {
-    std::vector<Finding> fire = lint::analyzeUnits(
+    std::vector<Finding> fire = lint::lintUnits(
         {unit("src/core/racy.cc", "parallel_capture_flag.cc"),
          unit("src/pipeline/fetch_q.cc", "hot_path_alloc_flag.cc")});
     ASSERT_FALSE(fire.empty());
 
-    Json doc = lint::analysisToJson(fire);
+    Json doc = lint::findingsToJson(fire);
     EXPECT_EQ(doc.at("schema").asString(), "smthill.lint.v1");
-    EXPECT_EQ(doc.at("tool").asString(), "smthill_analyze");
-    EXPECT_EQ(doc.at("passes").size(), lint::passNames().size());
+    // One document shape for rules and passes: {schema, findings}.
+    EXPECT_EQ(doc.members().size(), 2u);
 
-    // The analyzer extensions must not break the shared reader.
     std::string error;
     std::vector<Finding> back;
     ASSERT_TRUE(lint::findingsFromJson(doc, back, error)) << error;

@@ -105,6 +105,22 @@ TEST(Options, ParseArgsSplitsPositional)
     EXPECT_EQ(pos[0], "run");
 }
 
+TEST(Options, ParseArgsAcceptsGnuSpellingsOfKeysOnly)
+{
+    std::string statsJson;
+    OptionSet o;
+    o.addString("stats_json", &statsJson, "a path");
+    std::vector<std::string> pos;
+    std::string err;
+    EXPECT_TRUE(o.parseArgs({"--stats-json=a-b", "tests/x-y", "--help"},
+                            pos, err))
+        << err;
+    EXPECT_EQ(statsJson, "a-b");
+    ASSERT_EQ(pos.size(), 2u);
+    EXPECT_EQ(pos[0], "tests/x-y");
+    EXPECT_EQ(pos[1], "help");
+}
+
 TEST(Options, ParseArgsReportsFirstError)
 {
     Knobs k;

@@ -8,8 +8,8 @@
 # Stages:
 #   tier1    default build + full ctest suite
 #   werror   -DSMTHILL_WERROR=ON build (warnings are errors)
-#   lint     smthill_lint over the tree (ctest -R Lint)
-#   analyze  smthill_analyze cross-TU passes (ctest -R Analyze)
+#   lint     smthill_lint rules and cross-TU passes over the tree
+#            (ctest -R Lint)
 #   tidy     clang-tidy wrapper (skips without clang-tidy)
 #   asan     -DSMTHILL_SANITIZE=address build + FuzzSmoke + the
 #            ROADMAP ASan suites
@@ -59,13 +59,9 @@ echo "== werror: warnings-as-errors build =="
 stage_build "$SRC_DIR/build-werror" -DSMTHILL_WERROR=ON
 record werror $?
 
-echo "== lint: project linter over the tree =="
-(cd "$SRC_DIR/build" && ctest --output-on-failure -R '^Lint$')
+echo "== lint: project rules and cross-TU passes over the tree =="
+(cd "$SRC_DIR/build" && ctest --output-on-failure -R '^Lint')
 record lint $?
-
-echo "== analyze: cross-TU analyzer passes =="
-(cd "$SRC_DIR/build" && ctest --output-on-failure -R '^Analyze$')
-record analyze $?
 
 echo "== tidy: clang-tidy wrapper =="
 "$SRC_DIR/tools/run_clang_tidy.sh" "$SRC_DIR" "$SRC_DIR/build"

@@ -27,6 +27,8 @@ fail() {
 # shellcheck disable=SC2086
 "$cli" $run profile=1 profile_json="$out/profile.json" \
     event_trace="$out/prof.json" >/dev/null
+# shellcheck disable=SC2086
+"$cli" $run profile=1 >"$out/profile.txt"
 
 grep -q '"schema": "smthill.epoch-trace.v1"' "$out/epochs.json" ||
     fail "epochs.json is not an epoch-trace document"
@@ -45,6 +47,11 @@ awk '/^ *\{/ { ph = "" } /"ph": "X"/ { ph = "X" }
     fail "prof.json holds no complete event under pid 2000"
 grep -q '"schema": "smthill.profile.v1"' "$out/profile.json" ||
     fail "profile.json is not a profile document"
+# Without profile_json= the report is the stdout span table that the
+# benches print too.
+grep -q '^  span  *count  *total_ms  *self_ms  *max_ms$' \
+    "$out/profile.txt" ||
+    fail "profile=1 printed no span table with a max_ms column"
 
 grep -q '^last 16 pipeline events:$' "$out/stdout.txt" ||
     fail "no trace=16 block on stdout"

@@ -157,26 +157,6 @@ policyMetric(const std::string &name)
     return PerfMetric::WeightedIpc;
 }
 
-/**
- * Accept GNU-style spellings: "--stats-json=x" normalizes to
- * "stats_json=x". Only the key (before '=') is rewritten, so values
- * keep their dashes (workload=art-mcf).
- */
-std::string
-normalizeArg(const std::string &arg)
-{
-    std::string s = arg;
-    if (s.rfind("--", 0) == 0)
-        s = s.substr(2);
-    std::size_t key_end = s.find('=');
-    if (key_end == std::string::npos)
-        key_end = s.size();
-    for (std::size_t i = 0; i < key_end; ++i)
-        if (s[i] == '-')
-            s[i] = '_';
-    return s;
-}
-
 /** Shared metadata + counters skeleton of a smthill.stats.v1 doc. */
 Json
 statsDocument()
@@ -184,36 +164,6 @@ statsDocument()
     Json root = Json::object();
     root.set("schema", Json("smthill.stats.v1"));
     return root;
-}
-
-/**
- * Emit the host-profile report when profiling is on: to @p path as a
- * `smthill.profile.v1` document, or as a stdout span summary when
- * @p path is empty. No-op with profiling off, so default CLI output
- * is untouched.
- */
-void
-exportProfile(const std::string &path)
-{
-    if (!prof::profilingEnabled())
-        return;
-    const prof::ProfileReport report = prof::profileReport();
-    if (!path.empty()) {
-        writeProfile(path, report);
-        std::printf("wrote host profile to %s (%zu spans, "
-                    "parallel_efficiency %.3f)\n",
-                    path.c_str(), report.spans.size(),
-                    report.parallelEfficiency);
-        return;
-    }
-    std::printf("\nhost profile (parallel_efficiency %.3f):\n",
-                report.parallelEfficiency);
-    for (const prof::SpanStats &s : report.spans)
-        std::printf("  %-28s count=%llu total_ms=%.3f self_ms=%.3f\n",
-                    s.name.c_str(),
-                    static_cast<unsigned long long>(s.count),
-                    static_cast<double>(s.totalNs) / 1e6,
-                    static_cast<double>(s.selfNs) / 1e6);
 }
 
 /** Split a comma-separated list; empty pieces are dropped. */
@@ -389,11 +339,11 @@ main(int argc, char **argv)
     opts.addUint("l2_latency", &rc.machine.mem.l2Latency,
                  "L2 hit latency");
 
-    std::vector<std::string> args;
-    args.reserve(static_cast<std::size_t>(argc - 1));
-    for (int i = 1; i < argc; ++i)
-        args.push_back(normalizeArg(argv[i]));
-    if (!args.empty() && args[0] == "help") {
+    std::vector<std::string> positional;
+    std::string error;
+    if (!opts.parseArgs({argv + 1, argv + argc}, positional, error))
+        fatal(error);
+    if (!positional.empty() && positional[0] == "help") {
         std::printf("usage: %s [key=value ...]\n\noptions:\n", argv[0]);
         opts.printHelp();
         std::printf("\nworkloads:\n ");
@@ -402,11 +352,6 @@ main(int argc, char **argv)
         std::printf("\n");
         return 0;
     }
-
-    std::vector<std::string> positional;
-    std::string error;
-    if (!opts.parseArgs(args, positional, error))
-        fatal(error);
     if (!positional.empty())
         fatal(msg("unexpected argument '", positional[0],
                   "' (use key=value; see 'help')"));

@@ -25,27 +25,6 @@
 
 using namespace smthill;
 
-namespace
-{
-
-/** Rewrite "--key-name=v" to "key_name=v" (keys only, not values). */
-std::string
-normalizeArg(const std::string &arg)
-{
-    std::string out = arg;
-    if (out.rfind("--", 0) == 0)
-        out = out.substr(2);
-    std::size_t eq = out.find('=');
-    std::size_t keyEnd = eq == std::string::npos ? out.size() : eq;
-    for (std::size_t i = 0; i < keyEnd; ++i) {
-        if (out[i] == '-')
-            out[i] = '_';
-    }
-    return out;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
@@ -61,13 +40,9 @@ main(int argc, char **argv)
                 "run exactly this one seed, verbosely");
     opts.addBool("verbose", &verbose, "print one line per case");
 
-    std::vector<std::string> args;
-    for (int i = 1; i < argc; ++i)
-        args.push_back(normalizeArg(argv[i]));
-
     std::vector<std::string> positional;
     std::string error;
-    if (!opts.parseArgs(args, positional, error))
+    if (!opts.parseArgs({argv + 1, argv + argc}, positional, error))
         fatal(error);
     for (const std::string &p : positional) {
         if (p == "help") {

@@ -1,8 +1,9 @@
 /**
  * @file
- * smthill-lint driver: run the project-specific static analysis
- * rules (lint/lint.hh, catalog in DESIGN.md §9) over files and
- * directory trees.
+ * smthill-lint driver: run the project's static analysis — nine
+ * per-file rules and four cross-TU passes over one project model
+ * (lint/lint.hh, catalog in DESIGN.md §9) — over files and directory
+ * trees.
  *
  * Usage:
  *   smthill_lint [json=FILE] [quiet=1] [list_rules=1] <paths...>
@@ -20,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/options.hh"
 #include "lint/lint.hh"
 
 using namespace smthill;
@@ -27,31 +29,17 @@ using namespace smthill;
 namespace
 {
 
-/** Rewrite "--key-name=v" to "key_name=v" (keys only, not values). */
-std::string
-normalizeArg(const std::string &arg)
-{
-    std::string out = arg;
-    if (out.rfind("--", 0) == 0)
-        out = out.substr(2);
-    std::size_t eq = out.find('=');
-    std::size_t keyEnd = eq == std::string::npos ? out.size() : eq;
-    for (std::size_t i = 0; i < keyEnd; ++i) {
-        if (out[i] == '-')
-            out[i] = '_';
-    }
-    return out;
-}
-
 void
-usage()
+usage(const OptionSet &opts)
 {
     std::printf(
         "usage: smthill_lint [json=FILE] [quiet=1] [list_rules=1] "
         "<paths...>\n"
         "  lints .hh/.h/.cc/.cpp files under each path; exits "
         "nonzero on any\n  unsuppressed finding "
-        "(// smthill-lint: allow(<rule>) suppresses one line)\n");
+        "(// smthill-lint: allow(<rule>) suppresses one line)\n\n"
+        "options:\n");
+    opts.printHelp();
 }
 
 } // namespace
@@ -61,36 +49,35 @@ main(int argc, char **argv)
 {
     std::string jsonPath;
     bool quiet = false;
+    bool listRules = false;
+
+    OptionSet opts;
+    opts.addString("json", &jsonPath,
+                   "also write a smthill.lint.v1 document here");
+    opts.addBool("quiet", &quiet, "print nothing but errors");
+    opts.addBool("list_rules", &listRules,
+                 "print every rule and pass name, then exit");
+
     std::vector<std::string> paths;
-
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = normalizeArg(argv[i]);
-        if (arg == "help" || arg == "h") {
-            usage();
-            return 0;
-        }
-        if (arg == "list_rules" || arg == "list_rules=1") {
-            for (const std::string &rule : lint::ruleNames())
-                std::printf("%s\n", rule.c_str());
-            return 0;
-        }
-        if (arg.rfind("json=", 0) == 0) {
-            jsonPath = arg.substr(5);
-            continue;
-        }
-        if (arg == "quiet" || arg == "quiet=1") {
-            quiet = true;
-            continue;
-        }
-        paths.push_back(argv[i]);
+    std::string error;
+    if (!opts.parseArgs({argv + 1, argv + argc}, paths, error)) {
+        std::fprintf(stderr, "smthill_lint: %s\n", error.c_str());
+        return 2;
     }
-
+    if (listRules) {
+        for (const std::string &rule : lint::ruleNames())
+            std::printf("%s\n", rule.c_str());
+        return 0;
+    }
+    if (!paths.empty() && paths[0] == "help") {
+        usage(opts);
+        return 0;
+    }
     if (paths.empty()) {
-        usage();
+        usage(opts);
         return 2;
     }
 
-    std::string error;
     std::vector<lint::Finding> findings = lint::lintPaths(paths, error);
     if (!error.empty()) {
         std::fprintf(stderr, "smthill_lint: %s\n", error.c_str());
@@ -116,9 +103,8 @@ main(int argc, char **argv)
 
     if (findings.empty()) {
         if (!quiet)
-            std::printf("smthill_lint: clean (%zu rule%s)\n",
-                        lint::ruleNames().size(),
-                        lint::ruleNames().size() == 1 ? "" : "s");
+            std::printf("smthill_lint: clean (%zu rules and passes)\n",
+                        lint::ruleNames().size());
         return 0;
     }
     std::fprintf(stderr, "smthill_lint: %zu finding%s\n",

@@ -40,8 +40,8 @@ namespace
 {
 
 /**
- * Every event name the simulator emits (smthill_analyze keeps this
- * in sync with the instant/complete/counter call sites cross-TU). A
+ * Every event name the simulator emits (smthill_lint keeps this in
+ * sync with the instant/complete/counter call sites cross-TU). A
  * trailing '*' marks a prefix wildcard for computed names. Names
  * outside this catalog are bucketed as unknown by summarize —
  * usually a typo at the emitter or a new event missing its report

@@ -1,6 +1,6 @@
 /**
  * @file
- * Distilled ThreadSanitizer fixture for the analyzer's
+ * Distilled ThreadSanitizer fixture for the linter's
  * parallel-capture pass (DESIGN.md §9): the exact race shape the
  * pass flags in tests/lint/fixtures/parallel_capture_flag.cc — a
  * by-reference capture mutated inside a parallelFor lambda without
@@ -16,7 +16,7 @@
  *
  * The `TsanFixtureFixed` ctest entry runs `fixed` in every build
  * flavor; `racy` is the manual cross-validation step recorded in
- * EXPERIMENTS.md — one confirmed TSan report per analyzer finding
+ * EXPERIMENTS.md — one confirmed TSan report per linter finding
  * shape, so the pass is anchored to a real schedule-dependent bug,
  * not just a lexical pattern.
  */
